@@ -86,7 +86,6 @@ from .checker import (
 )
 from .cli import (
     RunConfig,
-    emit,
     format_ceq,
     main,
     parse_ceq,

@@ -153,7 +153,6 @@ class CheckVerdict:
     witness_valuation: dict | None
     solution_count: int | None
     max_vars: int
-    exhaustive: bool = True
 
 
 def _fast_options(algebra: FiniteAlgebra, var_count: int, param_targets: Sequence[int]):
@@ -248,27 +247,7 @@ def _uniqueness_sweep(
                             break
                 else:
                     count += 1
-                    if count > 1:
-                        break
             if count != 1:
-                if count > 1:  # recount exactly for the report
-                    count = 0
-                    for assign in assignments:
-                        ok = True
-                        for i in range(m):
-                            option = chosen[i]
-                            tag = option[0]
-                            if tag == "u":
-                                value = option[1][assign[option[2]]]
-                            elif tag == "k":
-                                value = option[1]
-                            else:
-                                value = option[1][tuple(assign[j] for j in option[2])]
-                            if assign[i] != value:
-                                ok = False
-                                break
-                        if ok:
-                            count += 1
                 system, valuation = _witness_system(algebra, builders, combo, m)
                 return CheckVerdict(False, system, valuation, count, max_vars)
     return CheckVerdict(True, None, None, None, max_vars)

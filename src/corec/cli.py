@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .checker import CheckVerdict, FiniteAlgebra, SpineWitness, is_cia, is_corecursive, witness_non_cia
 from .core import (
@@ -65,7 +65,6 @@ class RunConfig:
     depth: int = 16
     budget: int = DEFAULT_BUDGET
     fmt: str = "text"
-    paths: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -102,54 +101,15 @@ def _parse_signature_tokens(tokens: Sequence[str], line: int) -> list[tuple[str,
     return symbols
 
 
-def _parse_flat(
-    text: str,
-    line: int,
-    signature: Signature,
-    variables: set[str],
-    parameters: set[str],
-):
-    """A right-hand side: either f(a1, ..., an) or a bare parameter name."""
-    text = text.strip()
-    m = _TERM.match(text)
-    if m is None:
-        name = _check_name(text, line, "parameter")
-        if name in parameters:
-            return Param(name)
-        if name in variables:
-            raise ParseError(
-                f"{name!r} is a variable; a bare right-hand side must be a parameter",
-                line,
-            )
-        raise UndeclaredName(f"line {line}: undeclared parameter {name!r}")
-    head = m.group("head")
-    if head not in signature:
-        raise UndeclaredName(f"line {line}: undeclared symbol {head!r}")
-    args_text = m.group("args").strip()
-    atoms = []
-    if args_text:
-        for part in args_text.split(","):
-            name = _check_name(part.strip(), line, "atom")
-            if name in variables:
-                atoms.append(Var(name))
-            elif name in parameters:
-                atoms.append(Param(name))
-            else:
-                raise UndeclaredName(f"line {line}: undeclared atom {name!r}")
-    arity = signature.arity(head)
-    if len(atoms) != arity:
-        raise ArityMismatch(
-            f"line {line}: {head!r} has arity {arity}, got {len(atoms)} arguments"
-        )
-    return FlatTerm(head, tuple(atoms))
+def _parse_file(
+    text: str, handlers: Mapping[str, Callable[[int, str], None]]
+) -> tuple[tuple[str, int], ...]:
+    """Run each line's keyword handler in file order; return the declared symbols.
 
-
-def parse_ceq_with_root(text: str) -> tuple[EquationSystem, str | None]:
-    """Parse an equation system file; also return the declared root, if any."""
+    Signature lines may appear anywhere and accumulate.  A handler gets the
+    line number and the text after its keyword.
+    """
     symbols: list[tuple[str, int]] | None = None
-    parameters: list[str] = []
-    equations: list[tuple[int, str, str]] = []
-    root: str | None = None
     for number, line in _lines(text):
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
@@ -158,30 +118,92 @@ def parse_ceq_with_root(text: str) -> tuple[EquationSystem, str | None]:
             if not tokens:
                 raise ParseError("empty signature declaration", number)
             symbols = (symbols or []) + _parse_signature_tokens(tokens, number)
-        elif keyword == "params":
-            for token in rest.split():
-                parameters.append(_check_name(token, number, "parameter"))
-        elif keyword == "eq":
-            lhs, eq, rhs = rest.partition("=")
-            if not eq or not lhs.strip() or not rhs.strip():
-                raise ParseError("expected `eq <var> = <term>`", number)
-            equations.append((number, lhs.strip(), rhs.strip()))
-        elif keyword == "root":
-            root = rest.strip()
+        elif keyword in handlers:
+            handlers[keyword](number, rest)
         else:
             raise ParseError(f"unknown keyword {keyword!r}", number)
     if symbols is None:
         raise ParseError("missing signature declaration", 1)
-    signature = Signature(tuple(symbols))
+    return tuple(symbols)
+
+
+def _equation_sides(rest: str, line: int, usage: str) -> tuple[int, str, str]:
+    lhs, eq, rhs = rest.partition("=")
+    if not eq or not lhs.strip() or not rhs.strip():
+        raise ParseError(f"expected `{usage}`", line)
+    return line, lhs.strip(), rhs.strip()
+
+
+def _parse_term(
+    text: str, line: int, signature: Signature, atom: Callable[[str, int], object]
+) -> FlatTerm | None:
+    """``f(a1, ..., an)`` with a declared head and matching arity; None for other shapes.
+
+    ``atom`` turns each argument name into the term's atom, raising on bad names.
+    """
+    m = _TERM.match(text)
+    if m is None:
+        return None
+    head = m.group("head")
+    if head not in signature:
+        raise UndeclaredName(f"line {line}: undeclared symbol {head!r}")
+    body = m.group("args").strip()
+    args = tuple(atom(part.strip(), line) for part in body.split(",")) if body else ()
+    arity = signature.arity(head)
+    if len(args) != arity:
+        raise ArityMismatch(
+            f"line {line}: {head!r} has arity {arity}, got {len(args)} arguments"
+        )
+    return FlatTerm(head, args)
+
+
+def parse_ceq_with_root(text: str) -> tuple[EquationSystem, str | None]:
+    """Parse an equation system file; also return the declared root, if any."""
+    parameters: list[str] = []
+    equations: list[tuple[int, str, str]] = []
+    declared: dict[str, str] = {}
+
+    def params(number: int, rest: str) -> None:
+        for token in rest.split():
+            parameters.append(_check_name(token, number, "parameter"))
+
+    handlers = {
+        "params": params,
+        "eq": lambda n, rest: equations.append(_equation_sides(rest, n, "eq <var> = <term>")),
+        "root": lambda n, rest: declared.update(root=rest),
+    }
+    signature = Signature(_parse_file(text, handlers))
     variables = []
     for number, name, _ in equations:
         variables.append(_check_name(name, number, "variable"))
     varset, paramset = set(variables), set(parameters)
+
+    def atom(name: str, line: int):
+        name = _check_name(name, line, "atom")
+        if name in varset:
+            return Var(name)
+        if name in paramset:
+            return Param(name)
+        raise UndeclaredName(f"line {line}: undeclared atom {name!r}")
+
     rhs: dict = {}
     for number, name, body in equations:
         if name in rhs:
             raise ParseError(f"second equation for {name!r}", number)
-        rhs[name] = _parse_flat(body, number, signature, varset, paramset)
+        term = _parse_term(body, number, signature, atom)
+        if term is None:  # a bare right-hand side must name a parameter
+            bare = _check_name(body, number, "parameter")
+            if bare in paramset:
+                term = Param(bare)
+            elif bare in varset:
+                raise ParseError(
+                    f"{bare!r} is a variable; a bare right-hand side must be a parameter",
+                    number,
+                )
+            else:
+                raise UndeclaredName(f"line {number}: undeclared parameter {bare!r}")
+        rhs[name] = term
+    root = declared.get("root")
     if root is not None and root not in varset:
         raise UndeclaredName(f"root {root!r} is not a declared variable")
     system = EquationSystem(signature, tuple(variables), tuple(parameters), rhs)
@@ -195,90 +217,53 @@ def parse_ceq(text: str) -> EquationSystem:
 
 def parse_pres(text: str) -> Presentation:
     """Parse a presentation file: a signature plus axiom lines."""
-    symbols: list[tuple[str, int]] | None = None
-    axioms: list[tuple[FlatTerm, FlatTerm]] = []
     pending: list[tuple[int, str, str]] = []
-    for number, line in _lines(text):
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "signature":
-            tokens = rest.split()
-            if not tokens:
-                raise ParseError("empty signature declaration", number)
-            symbols = (symbols or []) + _parse_signature_tokens(tokens, number)
-        elif keyword == "axiom":
-            lhs, eq, rhs = rest.partition("=")
-            if not eq or not lhs.strip() or not rhs.strip():
-                raise ParseError("expected `axiom <term> = <term>`", number)
-            pending.append((number, lhs.strip(), rhs.strip()))
-        else:
-            raise ParseError(f"unknown keyword {keyword!r}", number)
-    if symbols is None:
-        raise ParseError("missing signature declaration", 1)
-    signature = Signature(tuple(symbols))
 
-    def parse_side(text: str, line: int) -> FlatTerm:
-        m = _TERM.match(text)
-        if m is None:
+    def axiom(number: int, rest: str) -> None:
+        pending.append(_equation_sides(rest, number, "axiom <term> = <term>"))
+
+    signature = Signature(_parse_file(text, {"axiom": axiom}))
+
+    def side(text: str, line: int) -> FlatTerm:
+        term = _parse_term(
+            text, line, signature, lambda name, at: _check_name(name, at, "variable")
+        )
+        if term is None:
             raise ParseError(f"expected a flat term, got {text!r}", line)
-        head = m.group("head")
-        if head not in signature:
-            raise UndeclaredName(f"line {line}: undeclared symbol {head!r}")
-        args = []
-        body = m.group("args").strip()
-        if body:
-            for part in body.split(","):
-                args.append(_check_name(part.strip(), line, "variable"))
-        arity = signature.arity(head)
-        if len(args) != arity:
-            raise ArityMismatch(
-                f"line {line}: {head!r} has arity {arity}, got {len(args)} arguments"
-            )
-        return FlatTerm(head, tuple(args))
+        return term
 
-    for number, lhs, rhs in pending:
-        axioms.append((parse_side(lhs, number), parse_side(rhs, number)))
+    axioms = [(side(lhs, number), side(rhs, number)) for number, lhs, rhs in pending]
     return Presentation(signature, tuple(axioms))
 
 
 def parse_falg(text: str) -> FiniteAlgebra:
     """Parse a finite algebra file: signature, carrier, and table rows."""
-    symbols: list[tuple[str, int]] | None = None
     carrier: list[str] = []
     rows: dict[str, dict[tuple, str]] = {}
-    for number, line in _lines(text):
-        keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if keyword == "signature":
-            tokens = rest.split()
-            if not tokens:
-                raise ParseError("empty signature declaration", number)
-            symbols = (symbols or []) + _parse_signature_tokens(tokens, number)
-        elif keyword == "carrier":
-            carrier.extend(rest.split())
-        elif keyword == "table":
-            head, colon, mapping = rest.partition(":")
-            if not colon:
-                raise ParseError("expected `table <symbol>: <args> -> <value>`", number)
-            head = head.strip()
-            args_text, arrow, value = mapping.partition("->")
-            if not arrow:
-                raise ParseError("table row needs `->`", number)
-            args = tuple(args_text.split())
-            value = value.strip()
-            if not value or len(value.split()) != 1:
-                raise ParseError("table row needs exactly one result", number)
-            sym_rows = rows.setdefault(head, {})
-            if args in sym_rows:
-                raise ParseError(f"duplicate table row for {head!r} {args}", number)
-            sym_rows[args] = value
-        else:
-            raise ParseError(f"unknown keyword {keyword!r}", number)
-    if symbols is None:
-        raise ParseError("missing signature declaration", 1)
+
+    def table(number: int, rest: str) -> None:
+        head, colon, mapping = rest.partition(":")
+        if not colon:
+            raise ParseError("expected `table <symbol>: <args> -> <value>`", number)
+        head = head.strip()
+        args_text, arrow, value = mapping.partition("->")
+        if not arrow:
+            raise ParseError("table row needs `->`", number)
+        args = tuple(args_text.split())
+        value = value.strip()
+        if not value or len(value.split()) != 1:
+            raise ParseError("table row needs exactly one result", number)
+        sym_rows = rows.setdefault(head, {})
+        if args in sym_rows:
+            raise ParseError(f"duplicate table row for {head!r} {args}", number)
+        sym_rows[args] = value
+
+    symbols = _parse_file(
+        text, {"carrier": lambda n, rest: carrier.extend(rest.split()), "table": table}
+    )
     if not carrier:
         raise ParseError("missing carrier declaration", 1)
-    signature = Signature(tuple(symbols))
+    signature = Signature(symbols)
     for name, _ in signature.symbols:
         if name not in rows:
             raise IncompleteTable(f"no table rows for symbol {name!r}")
@@ -477,29 +462,12 @@ def parse_solution_json(text: str):
     return out
 
 
-def emit(result, fmt: str = "text") -> str:
-    """Render any solver or checker result in the requested format."""
-    if isinstance(result, dict):
-        values = list(result.values())
-        if values and isinstance(values[0], RationalTree):
-            return emit_solution(result, fmt)
-        raise ValueError("use emit_decomposed for decomposed solutions")
-    if isinstance(result, CheckVerdict):
-        return emit_check(result, fmt)
-    if isinstance(result, Verdict3):
-        return emit_verdict3(result, fmt)
-    if isinstance(result, SpineWitness):
-        return emit_witness(result, fmt)
-    raise ValueError(f"cannot emit {type(result).__name__}")
-
-
 def emit_check(verdict: CheckVerdict, fmt: str) -> str:
     if fmt == "json":
         doc = {
             "kind": "check",
             "holds": verdict.holds,
             "max_vars": verdict.max_vars,
-            "exhaustive": verdict.exhaustive,
         }
         if not verdict.holds:
             doc["solution_count"] = verdict.solution_count
@@ -641,10 +609,10 @@ def _root_tree(path: str):
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("COREC_BUDGET", DEFAULT_BUDGET))
     try:
+        budget = args.budget
+        if budget is None:
+            budget = int(os.environ.get("COREC_BUDGET", DEFAULT_BUDGET))
         config = RunConfig(
             command=args.command, depth=args.depth, budget=budget, fmt=args.fmt
         )

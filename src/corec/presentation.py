@@ -54,9 +54,16 @@ def _axiom_variables(left: FlatTerm, right: FlatTerm) -> tuple[Atom, ...]:
 
 
 class _UnionFind:
-    def __init__(self, n: int) -> None:
+    """Union-find with path halving; the least member of a class is its root."""
+
+    def __init__(self, n: int = 0) -> None:
         self.parent = list(range(n))
-        self.size = [1] * n
+
+    def add(self) -> int:
+        """A new singleton class; returns its member."""
+        i = len(self.parent)
+        self.parent.append(i)
+        return i
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -69,10 +76,9 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.size[ra] < self.size[rb]:
+        if ra > rb:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
         return True
 
 
@@ -411,26 +417,24 @@ class Verdict3:
         return self.status == "unknown"
 
 
-class _TreeDag:
+class _TreeDag(_UnionFind):
     """Hash-consed term dag with union-find and congruence closure."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.kind: list[str] = []
         self.label: list[str] = []
         self.kids: list[tuple[int, ...]] = []
         self._memo: dict[tuple, int] = {}
-        self._uf_parent: list[int] = []
 
     def __len__(self) -> int:
         return len(self.kind)
 
     def _new(self, kind: str, label: str, kids: tuple[int, ...]) -> int:
-        i = len(self.kind)
         self.kind.append(kind)
         self.label.append(label)
         self.kids.append(kids)
-        self._uf_parent.append(i)
-        return i
+        return self.add()
 
     def leaf(self, label: str) -> int:
         key = ("leaf", label)
@@ -464,22 +468,6 @@ class _TreeDag:
 
         return go(tree)
 
-    def find(self, i: int) -> int:
-        parent = self._uf_parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self._uf_parent[rb] = ra
-        return True
-
     def close_congruence(self) -> None:
         """Merge nodes with the same symbol and classwise-equal children."""
         while True:
@@ -496,14 +484,6 @@ class _TreeDag:
                     changed = True
             if not changed:
                 return
-
-    def class_reps(self) -> dict[int, int]:
-        reps: dict[int, int] = {}
-        for i in range(len(self.kind)):
-            root = self.find(i)
-            if root not in reps or i < reps[root]:
-                reps[root] = min(reps.get(root, i), i)
-        return reps
 
 
 def _eval_tree_in_model(model, tree: FiniteTree, env: Mapping[str, object]):
@@ -582,8 +562,7 @@ def tree_equiv_bounded(
         dag.close_congruence()
         if dag.find(left_id) == dag.find(right_id):
             return Verdict3.equal()
-        reps = dag.class_reps()
-        class_nodes = sorted(reps.values())
+        class_nodes = sorted({dag.find(i) for i in range(len(dag))})
         progress = False
         node_count = len(dag)
         for src, dst in directed:

@@ -130,6 +130,14 @@ def leaf(signature: Signature, name: str) -> RationalTree:
     return RationalTree(signature, (LeafStep(name),), 0)
 
 
+def _shifted(steps: Sequence[Step], base: int) -> list[Step]:
+    """The steps with every child index moved up by base, for a joint system."""
+    return [
+        OpStep(st.symbol, tuple(base + c for c in st.children)) if isinstance(st, OpStep) else st
+        for st in steps
+    ]
+
+
 def op_apply(
     signature: Signature, symbol: str, children: Sequence[RationalTree]
 ) -> RationalTree:
@@ -142,13 +150,8 @@ def op_apply(
     for child in children:
         if child.signature != signature:
             raise SignatureMismatch("child tree built over a different signature")
-        base = len(steps)
-        roots.append(base + child.root)
-        for st in child.steps:
-            if isinstance(st, OpStep):
-                steps.append(OpStep(st.symbol, tuple(base + c for c in st.children)))
-            else:
-                steps.append(st)
+        roots.append(len(steps) + child.root)
+        steps += _shifted(child.steps, len(steps))
     steps[0] = OpStep(symbol, tuple(roots))
     return minimize(RationalTree(signature, tuple(steps), 0))
 
@@ -196,14 +199,45 @@ def bisim_equal(left: RationalTree, right: RationalTree) -> bool:
     if left.signature != right.signature:
         raise SignatureMismatch("cannot compare trees over different signatures")
     offset = len(left.steps)
-    joint: list[Step] = list(left.steps)
-    for st in right.steps:
-        if isinstance(st, OpStep):
-            joint.append(OpStep(st.symbol, tuple(offset + c for c in st.children)))
-        else:
-            joint.append(st)
-    block = _refine(joint)
+    block = _refine(list(left.steps) + _shifted(right.steps, offset))
     return block[left.root] == block[offset + right.root]
+
+
+def _truncate(tree: RationalTree, depth: int, make):
+    """Build the unfolding truncated at the given depth, bottom-up.
+
+    ``make(label, None)`` builds a leaf and ``make(symbol, kids)`` an inner
+    node; it is called once per (state, remaining depth) pair reachable
+    from the root.  The states needed at each remaining depth are collected
+    top-down first, then each level is built from the one below it, so the
+    walk needs no recursion at any depth.
+    """
+    if depth < 0:
+        raise ValueError("cut depth must be nonnegative")
+    steps = tree.steps
+    needed = [{tree.root}]  # needed[i]: states at remaining depth depth - i
+    for _ in range(depth):
+        below: set[int] = set()
+        for s in needed[-1]:
+            st = steps[s]
+            if isinstance(st, OpStep):
+                below.update(st.children)
+        needed.append(below)
+    built = {s: make(BOTTOM, None) for s in needed.pop()}
+    while needed:
+        level: dict = {}
+        for s in needed.pop():
+            st = steps[s]
+            if isinstance(st, LeafStep):
+                level[s] = make(st.param, None)
+            else:
+                level[s] = make(st.symbol, tuple(built[c] for c in st.children))
+        built = level
+    return built[tree.root]
+
+
+def _finite_node(label: str, kids: tuple | None) -> FiniteTree:
+    return ParamLeaf(label) if kids is None else Op(label, kids)
 
 
 def cut(tree: RationalTree, depth: int) -> FiniteTree:
@@ -213,30 +247,10 @@ def cut(tree: RationalTree, depth: int) -> FiniteTree:
     replaced by the reserved bottom leaf.  Shared (state, depth) pairs reuse
     one result object, so the output is a compact dag.
     """
-    if depth < 0:
-        raise ValueError("cut depth must be nonnegative")
     for st in tree.steps:
         if isinstance(st, LeafStep) and st.param == BOTTOM:
             raise ReservedParameter("tree already uses the reserved cut label")
-    memo: dict[tuple[int, int], FiniteTree] = {}
-
-    def go(state: int, d: int) -> FiniteTree:
-        key = (state, d)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if d == 0:
-            result: FiniteTree = ParamLeaf(BOTTOM)
-        else:
-            st = tree.steps[state]
-            if isinstance(st, LeafStep):
-                result = ParamLeaf(st.param)
-            else:
-                result = Op(st.symbol, tuple(go(c, d - 1) for c in st.children))
-        memo[key] = result
-        return result
-
-    return go(tree.root, depth)
+    return _truncate(tree, depth, _finite_node)
 
 
 def cut_equal(left: RationalTree, right: RationalTree, depth: int) -> bool:
@@ -248,29 +262,10 @@ def cut_equal(left: RationalTree, right: RationalTree, depth: int) -> bool:
     """
     pool: dict[tuple, int] = {}
 
-    def key_of(tree: RationalTree) -> int:
-        memo: dict[tuple[int, int], int] = {}
+    def key(label: str, kids: tuple | None) -> int:
+        return pool.setdefault((label, kids), len(pool))
 
-        def go(state: int, d: int) -> int:
-            pos = (state, d)
-            hit = memo.get(pos)
-            if hit is not None:
-                return hit
-            if d == 0:
-                shape = ("leaf", BOTTOM)
-            else:
-                st = tree.steps[state]
-                if isinstance(st, LeafStep):
-                    shape = ("leaf", st.param)
-                else:
-                    shape = (st.symbol, tuple(go(c, d - 1) for c in st.children))
-            out = pool.setdefault(shape, len(pool))
-            memo[pos] = out
-            return out
-
-        return go(tree.root, depth)
-
-    return key_of(left) == key_of(right)
+    return _truncate(left, depth, key) == _truncate(right, depth, key)
 
 
 def _leaf_reaching_states(tree: RationalTree) -> set[int]:
@@ -392,13 +387,8 @@ def graft(tree: RationalTree, assignment: Mapping[str, RationalTree]) -> Rationa
         plug = assignment[name]
         if plug.signature != tree.signature:
             raise SignatureMismatch(f"assignment for {name!r} uses a different signature")
-        base = len(steps)
-        bases[name] = base
-        for st in plug.steps:
-            if isinstance(st, OpStep):
-                steps.append(OpStep(st.symbol, tuple(base + c for c in st.children)))
-            else:
-                steps.append(st)
+        bases[name] = len(steps)
+        steps += _shifted(plug.steps, len(steps))
     for i, st in enumerate(tree.steps):
         if isinstance(st, LeafStep):
             plug = assignment[st.param]

@@ -297,5 +297,11 @@ class TestMain:
         # an explicit flag wins over the environment
         assert main(["--budget", "100000", "quotient", pres, "--atoms", "4"]) == 0
 
+    def test_budget_env_malformed(self, tmp_path, capsys, monkeypatch):
+        pres = self._write(tmp_path, "sl.pres", SEMILATTICE_PRES)
+        monkeypatch.setenv("COREC_BUDGET", "abc")
+        assert main(["quotient", pres, "--atoms", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_depth_is_input_error(self, capsys):
         assert main(["-k", "0", "witness", "sigma:2"]) == 2

@@ -142,6 +142,26 @@ class TestCut:
         with pytest.raises(ReservedParameter):
             cut(t, 1)
 
+    def test_deep_truncation(self):
+        # cycles longer than Python's recursion limit allows a walk to unfold
+        def marked_cycle(length, period):
+            steps = tuple(
+                OpStep("b" if i % period == 0 else "a", ((i + 1) % length,))
+                for i in range(length)
+            )
+            return RationalTree(SIG_AB, steps, 0)
+
+        t = marked_cycle(40, 40)
+        unrolled = marked_cycle(80, 40)
+        longer = marked_cycle(80, 80)
+        bot = cut(t, 5000)
+        for _ in range(5000):
+            bot = bot.children[0]
+        assert bot == ParamLeaf(BOTTOM)
+        for u in (unrolled, longer):
+            assert cut_equal(t, u, len(t) * len(u)) == bisim_equal(t, u)
+        assert bisim_equal(t, unrolled) and not bisim_equal(t, longer)
+
 
 class TestCountParamLeaves:
     def test_spine_is_infinite(self):
