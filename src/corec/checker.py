@@ -29,13 +29,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .presentation import Presentation, Verdict3, rtree_equiv_upto
-from .rtree import (
-    INFINITE,
-    LeafStep,
-    OpStep,
-    RationalTree,
-    count_param_leaves,
-)
+from .rtree import INFINITE, LeafStep, RationalTree, _levels, count_param_leaves
 from .solver import anchors, classify, solve, solve_anchored
 
 
@@ -358,23 +352,11 @@ def witness_non_cia(signature: Signature, depth: int) -> SpineWitness:
     system = EquationSystem(signature, variables, parameters, rhs)
     tree = solve(system)[variables[0]]
 
-    target = parameters[0]
-    frontier = {tree.root}
-    all_levels = True
-    for _ in range(depth):
-        nxt = set()
-        hit = False
-        for s in frontier:
-            step = tree.steps[s]
-            if isinstance(step, OpStep):
-                nxt.update(step.children)
-        for s in nxt:
-            step = tree.steps[s]
-            if isinstance(step, LeafStep) and step.param == target:
-                hit = True
-        if not hit:
-            all_levels = False
-        frontier = nxt
+    target = LeafStep(parameters[0])
+    all_levels = all(
+        any(tree.steps[s] == target for s in level)
+        for level in _levels(tree, depth)[1:]
+    )
     return SpineWitness(
         system, tree, count_param_leaves(tree), depth, all_levels
     )

@@ -5,7 +5,7 @@ algebras), three output formats (human-readable text with binder notation
 for cycles, DOT state graphs, JSON), and the `corec` command dispatcher.
 
 Exit codes: 0 success, 1 failing/distinct verdict, 2 input error, 3 budget
-exceeded.
+exceeded, 4 unknown verdict (`equal --pres` could not decide).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     UndeclaredName,
 )
 from .presentation import Presentation, Verdict3, quotient_classes, reduce_presentation, rtree_equiv_upto
-from .rtree import Lasso, LeafStep, OpStep, RationalTree, bisim_equal
+from .rtree import Lasso, LeafStep, OpStep, RationalTree, _dfs, bisim_equal
 from .solver import (
     Classification,
     DecomposedSolution,
@@ -294,49 +294,40 @@ def format_pres(presentation: Presentation) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cycle_states(tree: RationalTree) -> set[int]:
-    cyclic: set[int] = set()
-    color: dict[int, int] = {}
-
-    def dfs(s: int) -> None:
-        color[s] = 1
-        step = tree.steps[s]
-        if isinstance(step, OpStep):
-            for c in step.children:
-                if color.get(c) == 1:
-                    cyclic.add(c)
-                elif color.get(c) is None:
-                    dfs(c)
-        color[s] = 2
-
-    dfs(tree.root)
-    return cyclic
-
-
 def render_mu(tree: RationalTree) -> str:
-    """Closed binder notation for a rational tree; binders only on cycles."""
-    cyclic = _cycle_states(tree)
-    counter = itertools.count()
+    """Closed binder notation for a rational tree; binders only on cycles.
 
-    def go(s: int, bound: Mapping[int, str]) -> str:
-        if s in bound:
-            return bound[s]
+    Binder names are numbered in the order the binders are written.
+    """
+    cyclic = _dfs(tree.steps, tree.root)[1]
+    names = itertools.count()
+    out: list[str] = []
+    work: list = [(tree.root, {})]  # (state, binder names in scope) or literal text
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        s, bound = item
         step = tree.steps[s]
-        if isinstance(step, LeafStep):
-            return step.param
-        if s in cyclic:
-            name = f"s{next(counter)}"
-            inner = dict(bound)
-            inner[s] = name
-            return f"mu {name}. {_node(step, inner)}"
-        return _node(step, bound)
-
-    def _node(step: OpStep, bound: Mapping[int, str]) -> str:
-        if not step.children:
-            return step.symbol
-        return f"{step.symbol}({', '.join(go(c, bound) for c in step.children)})"
-
-    return go(tree.root, {})
+        if s in bound:
+            out.append(bound[s])
+        elif isinstance(step, LeafStep):
+            out.append(step.param)
+        else:
+            if s in cyclic:
+                bound = {**bound, s: f"s{next(names)}"}
+                out.append(f"mu {bound[s]}. ")
+            if not step.children:
+                out.append(step.symbol)
+                continue
+            out.append(f"{step.symbol}(")
+            work.append(")")
+            for i in reversed(range(len(step.children))):
+                work.append((step.children[i], bound))
+                if i:
+                    work.append(", ")
+    return "".join(out)
 
 
 def _word_text(word: Sequence[str]) -> str:
@@ -674,7 +665,7 @@ def _dispatch(config: RunConfig, args) -> int:
                 presentation, left, right, config.depth, config.budget
             )
             sys.stdout.write(emit_verdict3(verdict, fmt))
-            return 1 if verdict.is_distinct else 0
+            return {"equal": 0, "distinct": 1}.get(verdict.status, 4)
         same = bisim_equal(left, right)
         sys.stdout.write(("equal" if same else "distinct") + "\n")
         return 0 if same else 1

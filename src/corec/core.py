@@ -76,9 +76,6 @@ class Signature:
     def all_unary(self) -> bool:
         return all(a == 1 for _, a in self.symbols)
 
-    def unary_symbols(self) -> tuple[str, ...]:
-        return tuple(n for n, a in self.symbols if a == 1)
-
     def constant_symbols(self) -> tuple[str, ...]:
         return tuple(n for n, a in self.symbols if a == 0)
 
@@ -167,21 +164,6 @@ FiniteTree = Union[Op, ParamLeaf]
 
 def op(symbol: str, *children: FiniteTree) -> Op:
     return Op(symbol, tuple(children))
-
-
-def validate_tree(tree: FiniteTree, signature: Signature) -> None:
-    """Check that every node's child count matches its symbol's arity."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ParamLeaf):
-            continue
-        arity = signature.arity(node.symbol)
-        if len(node.children) != arity:
-            raise ArityMismatch(
-                f"node {node.symbol!r} has {len(node.children)} children, arity is {arity}"
-            )
-        stack.extend(node.children)
 
 
 def tree_params(tree: FiniteTree) -> set[str]:

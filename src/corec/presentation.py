@@ -453,20 +453,7 @@ class _TreeDag(_UnionFind):
         return node
 
     def intern(self, tree: FiniteTree) -> int:
-        by_id: dict[int, int] = {}
-
-        def go(node: FiniteTree) -> int:
-            hit = by_id.get(id(node))
-            if hit is not None:
-                return hit
-            if isinstance(node, ParamLeaf):
-                out = self.leaf(node.name)
-            else:
-                out = self.op(node.symbol, tuple(go(c) for c in node.children))
-            by_id[id(node)] = out
-            return out
-
-        return go(tree)
+        return _fold_tree(tree, self.leaf, self.op)
 
     def close_congruence(self) -> None:
         """Merge nodes with the same symbol and classwise-equal children."""
@@ -486,27 +473,40 @@ class _TreeDag(_UnionFind):
                 return
 
 
-def _eval_tree_in_model(model, tree: FiniteTree, env: Mapping[str, object]):
+def _fold_tree(tree: FiniteTree, leaf, node):
+    """Fold a finite-tree dag bottom-up, each shared node once, without recursion.
+
+    ``leaf(name)`` gives a parameter leaf's value and ``node(symbol, values)``
+    an inner node's from its children's values.  Nodes are folded in the
+    post-order of a left-to-right walk, so side effects happen in that order.
+    """
     memo: dict[int, object] = {}
-
-    def go(node: FiniteTree):
-        key = id(node)
-        if key in memo:
-            return memo[key]
-        if isinstance(node, ParamLeaf):
-            value = env[node.name]
+    stack: list = [tree]  # None on top of a node: its children are folded
+    while stack:
+        n = stack.pop()
+        if n is None:
+            n = stack.pop()
+            memo[id(n)] = node(n.symbol, tuple([memo[id(c)] for c in n.children]))
+        elif id(n) in memo:
+            continue
+        elif isinstance(n, ParamLeaf):
+            memo[id(n)] = leaf(n.name)
         else:
-            value = model.apply(node.symbol, tuple(go(c) for c in node.children))
-        memo[key] = value
-        return value
+            stack += (n, None)
+            stack.extend(reversed(n.children))
+    return memo[id(tree)]
 
-    return go(tree)
+
+def _eval_tree_in_model(model, tree: FiniteTree, env: Mapping[str, object]):
+    return _fold_tree(tree, env.__getitem__, model.apply)
 
 
 def _model_refutation(
     models: Sequence, left: FiniteTree, right: FiniteTree, budget: int | None
 ):
     """A (model, valuation) separating the two trees, if some model does."""
+    if not models:
+        return None
     labels = sorted(tree_params(left) | tree_params(right))
     checked = 0
     for index, model in enumerate(models):
@@ -544,14 +544,13 @@ def tree_equiv_bounded(
     witness = _model_refutation(models, left, right, budget)
     if witness is not None:
         return Verdict3.distinct(witness)
-    if not presentation.axioms:
-        if left == right:
-            return Verdict3.equal()
-        return Verdict3.distinct({"reason": "no axioms; trees differ syntactically"})
-
     dag = _TreeDag()
     left_id = dag.intern(left)
     right_id = dag.intern(right)
+    if not presentation.axioms:  # hash-consing makes equal trees one node
+        if left_id == right_id:
+            return Verdict3.equal()
+        return Verdict3.distinct({"reason": "no axioms; trees differ syntactically"})
     dag.leaf(BOTTOM)
     directed = []
     for l, r in presentation.axioms:

@@ -11,7 +11,6 @@ Lasso encoding.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -125,6 +124,57 @@ def _bfs_order(steps: Sequence[Step], root: int) -> list[int]:
     return order
 
 
+def _children(step: Step) -> tuple[int, ...]:
+    return step.children if isinstance(step, OpStep) else ()
+
+
+def _dfs(
+    steps: Sequence[Step], root: int, within: set[int] | None = None
+) -> tuple[list[int], set[int]]:
+    """Depth-first walk from the root, children in order, without recursion.
+
+    Returns the visited states in post-order and the targets of back edges,
+    the edges into a state still on the current path; there is a back edge
+    exactly when the walked part has a cycle.  ``within`` restricts the walk
+    to a set of states.
+    """
+    postorder: list[int] = []
+    back: set[int] = set()
+    on_path = {root}
+    seen = {root}
+    stack = [(root, iter(_children(steps[root])))]
+    while stack:
+        s, kids = stack[-1]
+        for c in kids:
+            if within is not None and c not in within:
+                continue
+            if c in on_path:
+                back.add(c)
+            elif c not in seen:
+                seen.add(c)
+                on_path.add(c)
+                stack.append((c, iter(_children(steps[c]))))
+                break
+        else:
+            stack.pop()
+            on_path.discard(s)
+            postorder.append(s)
+    return postorder, back
+
+
+def _levels(tree: RationalTree, depth: int) -> list[set[int]]:
+    """The states at each depth 0..depth of the unfolding, top-down."""
+    levels = [{tree.root}]
+    for _ in range(depth):
+        below: set[int] = set()
+        for s in levels[-1]:
+            st = tree.steps[s]
+            if isinstance(st, OpStep):
+                below.update(st.children)
+        levels.append(below)
+    return levels
+
+
 def leaf(signature: Signature, name: str) -> RationalTree:
     """The single-leaf tree for a parameter."""
     return RationalTree(signature, (LeafStep(name),), 0)
@@ -215,14 +265,7 @@ def _truncate(tree: RationalTree, depth: int, make):
     if depth < 0:
         raise ValueError("cut depth must be nonnegative")
     steps = tree.steps
-    needed = [{tree.root}]  # needed[i]: states at remaining depth depth - i
-    for _ in range(depth):
-        below: set[int] = set()
-        for s in needed[-1]:
-            st = steps[s]
-            if isinstance(st, OpStep):
-                below.update(st.children)
-        needed.append(below)
+    needed = _levels(tree, depth)  # needed[i]: states at remaining depth depth - i
     built = {s: make(BOTTOM, None) for s in needed.pop()}
     while needed:
         level: dict = {}
@@ -287,55 +330,6 @@ def _leaf_reaching_states(tree: RationalTree) -> set[int]:
     return reach
 
 
-def _sccs(nodes: set[int], succ: Mapping[int, Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components come out children-first."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = itertools.count()
-
-    for start in nodes:
-        if start in index:
-            continue
-        work: list[tuple[int, int]] = [(start, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            children = succ[v]
-            while pi < len(children):
-                w = children[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return out
-
-
 def count_param_leaves(tree: RationalTree):
     """Number of parameter-leaf occurrences in the unfolded tree.
 
@@ -345,23 +339,11 @@ def count_param_leaves(tree: RationalTree):
     reach = _leaf_reaching_states(tree)
     if tree.root not in reach:
         return 0
-    succ = {}
-    for s in reach:
-        st = tree.steps[s]
-        if isinstance(st, OpStep):
-            succ[s] = [c for c in st.children if c in reach]
-        else:
-            succ[s] = []
-    comps = _sccs(reach, succ)
-    for comp in comps:
-        if len(comp) > 1:
-            return INFINITE
-        v = comp[0]
-        if v in succ[v]:
-            return INFINITE
+    postorder, back = _dfs(tree.steps, tree.root, reach)
+    if back:
+        return INFINITE
     counts: dict[int, int] = {}
-    for comp in comps:  # children-first order doubles as topological order
-        v = comp[0]
+    for v in postorder:  # children come first
         st = tree.steps[v]
         if isinstance(st, LeafStep):
             counts[v] = 1
@@ -461,14 +443,22 @@ def to_lasso(tree: RationalTree) -> Lasso:
     for st in tree.steps:
         if isinstance(st, LeafStep):
             raise HasParameters(f"tree has a parameter leaf {st.param!r}")
-    seen: dict[int, int] = {}
+    steps = tree.steps
+    return _walk_lasso(tree.root, lambda s: (steps[s].symbol, steps[s].children[0]))
+
+
+def _walk_lasso(start, step) -> Lasso:
+    """The stream read by following ``step(state) -> (letter, next state)``.
+
+    The walk stops at the first repeated state, which is where the period
+    begins.
+    """
+    seen: dict = {}
     letters: list[str] = []
-    state = tree.root
+    state = start
     while state not in seen:
         seen[state] = len(letters)
-        st = tree.steps[state]
-        assert isinstance(st, OpStep)
-        letters.append(st.symbol)
-        state = st.children[0]
+        letter, state = step(state)
+        letters.append(letter)
     entry = seen[state]
     return Lasso(tuple(letters[:entry]), tuple(letters[entry:]))

@@ -35,6 +35,7 @@ from .rtree import (
     leaf,
     minimize,
     op_apply,
+    _walk_lasso,
 )
 
 
@@ -117,12 +118,6 @@ class Classification:
     layers: tuple[frozenset[str], ...]
     infinite_part: frozenset[str]
 
-    def layer_of(self, variable: str) -> int | None:
-        for i, layer in enumerate(self.layers):
-            if variable in layer:
-                return i
-        return None
-
 
 def _unary_view(system: EquationSystem) -> dict[str, tuple[str, str] | str]:
     """Per variable: (symbol, successor) for flat steps, parameter name otherwise."""
@@ -147,18 +142,25 @@ def _unary_view(system: EquationSystem) -> dict[str, tuple[str, str] | str]:
 
 
 def classify(system: EquationSystem) -> Classification:
-    """Layer the variables by distance to a parameter; the rest is the infinite part."""
+    """Layer the variables by distance to a parameter; the rest is the infinite part.
+
+    One pass records each variable's callers; layer n + 1 is then the
+    callers of layer n, so every variable is visited once.
+    """
     view = _unary_view(system)
-    remaining = set(system.variables)
-    current = frozenset(x for x in remaining if isinstance(view[x], str))
+    callers: dict[str, list[str]] = {x: [] for x in system.variables}
+    for x, v in view.items():
+        if not isinstance(v, str):
+            callers[v[1]].append(x)
     layers: list[frozenset[str]] = []
+    current = [x for x in system.variables if isinstance(view[x], str)]
     while current:
-        layers.append(current)
-        remaining -= current
-        current = frozenset(
-            x for x in remaining if view[x][1] in layers[-1]
-        )
-    return Classification(tuple(layers), frozenset(remaining))
+        layers.append(frozenset(current))
+        current = [x for y in current for x in callers[y]]
+    layered = set().union(*layers)
+    return Classification(
+        tuple(layers), frozenset(x for x in system.variables if x not in layered)
+    )
 
 
 @dataclass(frozen=True)
@@ -199,16 +201,7 @@ def solve_decomposed(system: EquationSystem) -> DecomposedSolution:
     out: DecomposedSolution = {}
     for x in system.variables:
         if x in classification.infinite_part:
-            letters: list[str] = []
-            seen: dict[str, int] = {}
-            cur = x
-            while cur not in seen:
-                seen[cur] = len(letters)
-                symbol, nxt = view[cur]  # type: ignore[misc]
-                letters.append(symbol)
-                cur = nxt
-            entry = seen[cur]
-            out[x] = InfinitePart(Lasso(tuple(letters[:entry]), tuple(letters[entry:])))
+            out[x] = InfinitePart(_walk_lasso(x, view.__getitem__))
         else:
             word: list[str] = []
             cur = x
@@ -306,11 +299,6 @@ def compose_systems(outer: EquationSystem, inner: EquationSystem) -> EquationSys
     )
 
 
-def _chain_steps(system: EquationSystem) -> dict[str, tuple[str, str]]:
-    view = _unary_view(system)
-    return {x: v for x, v in view.items() if not isinstance(v, str)}
-
-
 def anchors(
     system: EquationSystem, algebra, budget: int | None = DEFAULT_BUDGET
 ) -> list[dict[str, object]]:
@@ -322,7 +310,7 @@ def anchors(
     carrier, in carrier order.
     """
     classification = classify(system)
-    chain = _chain_steps(system)
+    view = _unary_view(system)
     inf_vars = [x for x in system.variables if x in classification.infinite_part]
     carrier = list(algebra.carrier)
     total = len(carrier) ** len(inf_vars)
@@ -332,7 +320,7 @@ def anchors(
     for values in itertools.product(carrier, repeat=len(inf_vars)):
         cand = dict(zip(inf_vars, values))
         if all(
-            cand[x] == algebra.apply(chain[x][0], (cand[chain[x][1]],))
+            cand[x] == algebra.apply(view[x][0], (cand[view[x][1]],))
             for x in inf_vars
         ):
             found.append(cand)
@@ -352,12 +340,12 @@ def solve_anchored(
     anchor's value.
     """
     classification = classify(system)
-    chain = _chain_steps(system)
+    view = _unary_view(system)
     inf_vars = set(classification.infinite_part)
     if set(anchor) != inf_vars:
         raise InvalidAnchor("anchor domain must be exactly the infinite part")
     for x in inf_vars:
-        symbol, nxt = chain[x]
+        symbol, nxt = view[x]
         if anchor[x] not in algebra.carrier:
             raise InvalidAnchor(f"anchor value for {x!r} is not in the carrier")
         if anchor[x] != algebra.apply(symbol, (anchor[nxt],)):
@@ -366,26 +354,15 @@ def solve_anchored(
         if y not in valuation:
             raise UndeclaredName(f"no interpretation for parameter {y!r}")
 
-    values: dict[str, object] = {}
-
-    def value_of(x: str):
-        if x in values:
-            return values[x]
-        if x in inf_vars:
-            v = anchor[x]
-        else:
-            r = system.rhs_of(x)
-            if isinstance(r, Param):
-                v = valuation[r.name]
+    values = dict(anchor)
+    for layer in classification.layers:  # each layer only reads the one below
+        for x in layer:
+            step = view[x]
+            if isinstance(step, str):
+                values[x] = valuation[step]
             else:
-                symbol, nxt = chain[x]
-                v = algebra.apply(symbol, (value_of(nxt),))
-        values[x] = v
-        return v
-
-    for x in system.variables:
-        value_of(x)
-    return values
+                values[x] = algebra.apply(step[0], (values[step[1]],))
+    return {x: values[x] for x in system.variables}
 
 
 def tree_to_system(tree: RationalTree) -> tuple[EquationSystem, str]:

@@ -1,6 +1,8 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corec.cli import (
     emit_check,
@@ -16,7 +18,7 @@ from corec.cli import (
     render_mu,
 )
 from corec.checker import is_corecursive, satisfies_presentation
-from corec.core import FlatTerm, Param, Var
+from corec.core import FlatTerm, Param, Signature, Var
 from corec.errors import (
     ArityMismatch,
     IncompleteTable,
@@ -24,7 +26,7 @@ from corec.errors import (
     ReservedParameter,
     UndeclaredName,
 )
-from corec.rtree import bisim_equal
+from corec.rtree import LeafStep, OpStep, RationalTree, bisim_equal
 from corec.solver import solve, solve_decomposed, tree_to_system
 
 SPINE_FILE = """\
@@ -247,6 +249,14 @@ class TestMain:
         )
         assert main(["equal", left, different]) == 1
 
+    def test_equal_modulo_unknown_exit_code(self, tmp_path, capsys):
+        # an undecided verdict must not read as "equal" (0) or "distinct" (1)
+        pres = self._write(tmp_path, "sl.pres", SEMILATTICE_PRES)
+        left = self._write(tmp_path, "cl.ceq", "signature u:2\nparams y\neq x = u(x, y)\n")
+        right = self._write(tmp_path, "spine.ceq", SPINE_FILE)
+        assert main(["-k", "4", "equal", left, right, "--pres", pres]) == 4
+        assert capsys.readouterr().out.startswith("unknown")
+
     def test_equal_modulo_presentation(self, tmp_path, capsys):
         pres = self._write(tmp_path, "comm.pres", "signature u:2\naxiom u(p, q) = u(q, p)\n")
         left = self._write(
@@ -305,3 +315,85 @@ class TestMain:
 
     def test_bad_depth_is_input_error(self, capsys):
         assert main(["-k", "0", "witness", "sigma:2"]) == 2
+
+
+SIG_MU = Signature((("f", 2), ("g", 1), ("c", 0)))
+
+
+def _cycle_states_recursive(tree):
+    """Recursive depth-first search for cycle entries: oracle for render_mu's walk."""
+    cyclic = set()
+    color = {}
+
+    def dfs(s):
+        color[s] = 1
+        step = tree.steps[s]
+        if isinstance(step, OpStep):
+            for c in step.children:
+                if color.get(c) == 1:
+                    cyclic.add(c)
+                elif color.get(c) is None:
+                    dfs(c)
+        color[s] = 2
+
+    dfs(tree.root)
+    return cyclic
+
+
+def _render_mu_recursive(tree):
+    """Mutually recursive binder rendering: oracle for the explicit-stack render_mu."""
+    cyclic = _cycle_states_recursive(tree)
+    counter = itertools.count()
+
+    def go(s, bound):
+        if s in bound:
+            return bound[s]
+        step = tree.steps[s]
+        if isinstance(step, LeafStep):
+            return step.param
+        if s in cyclic:
+            name = f"s{next(counter)}"
+            inner = dict(bound)
+            inner[s] = name
+            return f"mu {name}. {_node(step, inner)}"
+        return _node(step, bound)
+
+    def _node(step, bound):
+        if not step.children:
+            return step.symbol
+        return f"{step.symbol}({', '.join(go(c, bound) for c in step.children)})"
+
+    return go(tree.root, {})
+
+
+@st.composite
+def mu_trees(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    steps = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["leaf", "f", "g", "c"]))
+        arity = {"leaf": 0, "f": 2, "g": 1, "c": 0}[kind]
+        if kind == "leaf":
+            steps.append(LeafStep(draw(st.sampled_from(["y", "z"]))))
+        else:
+            kids = tuple(draw(st.integers(0, n - 1)) for _ in range(arity))
+            steps.append(OpStep(kind, kids))
+    return RationalTree(SIG_MU, tuple(steps), draw(st.integers(0, n - 1)))
+
+
+class TestRenderMu:
+    @settings(max_examples=300, deadline=None)
+    @given(mu_trees())
+    def test_matches_recursive_oracle(self, tree):
+        assert render_mu(tree) == _render_mu_recursive(tree)
+
+    def test_deep_chain(self):
+        n = 3000
+        steps = [OpStep("g", (i + 1,)) for i in range(n - 1)] + [LeafStep("y")]
+        tree = RationalTree(SIG_MU, tuple(steps), 0)
+        assert render_mu(tree) == "g(" * (n - 1) + "y" + ")" * (n - 1)
+
+    def test_deep_cycle(self):
+        n = 3000
+        tree = RationalTree(SIG_MU, tuple(OpStep("g", ((i + 1) % n,)) for i in range(n)), 0)
+        assert render_mu(tree) == "mu s0. " + "g(" * n + "s0" + ")" * n

@@ -1,6 +1,6 @@
 import pytest
 
-from corec.core import ParamLeaf, Signature, flat, op
+from corec.core import BOTTOM, ParamLeaf, Signature, flat, op
 from corec.errors import SizeLimitExceeded
 from corec.presentation import (
     Presentation,
@@ -13,8 +13,8 @@ from corec.presentation import (
     rtree_equiv_upto,
     tree_equiv_bounded,
 )
-from corec.rtree import LeafStep, OpStep, RationalTree
-from corec.checker import FiniteAlgebra
+from corec.rtree import LeafStep, OpStep, RationalTree, cut
+from corec.checker import FiniteAlgebra, satisfies_presentation
 
 SIG_US = Signature((("u", 2), ("s", 1)))
 
@@ -326,6 +326,40 @@ class TestTreeEquivBounded:
                 assert _eval_tree_in_model(JOIN3, left, env) == _eval_tree_in_model(
                     JOIN3, right, env
                 )
+
+
+class TestDeepTrees:
+    """Truncations far deeper than Python's recursion limit."""
+
+    DEPTH = 3000
+    S_LOOP = RationalTree(SIG_US, (OpStep("s", (0,)),), 0)
+
+    def test_equal_without_axioms(self):
+        left, right = cut(self.S_LOOP, self.DEPTH), cut(self.S_LOOP, self.DEPTH)
+        assert left is not right
+        assert tree_equiv_bounded(Presentation(SIG_US, ()), left, right).is_equal
+
+    def test_equal_with_axioms(self):
+        left, right = cut(self.S_LOOP, self.DEPTH), cut(self.S_LOOP, self.DEPTH)
+        assert tree_equiv_bounded(SEMILATTICE, left, right).is_equal
+
+    def test_model_separates_by_parity(self):
+        # s flips a bit and u is "and", so s^3000(v) = v but u(s^2999(v), s^2999(v)) = not v
+        flip_and = FiniteAlgebra(
+            SIG_US,
+            (0, 1),
+            {
+                "u": {(a, b): a & b for a in (0, 1) for b in (0, 1)},
+                "s": {(0,): 1, (1,): 0},
+            },
+        )
+        assert satisfies_presentation(flip_and, COMM)
+        doubled = RationalTree(SIG_US, (OpStep("u", (1, 1)), OpStep("s", (1,))), 0)
+        left, right = cut(self.S_LOOP, self.DEPTH), cut(doubled, self.DEPTH)
+        verdict = tree_equiv_bounded(COMM, left, right, models=[flip_and])
+        assert verdict.is_distinct
+        v = verdict.witness["valuation"][BOTTOM]
+        assert verdict.witness["values"] == (v, 1 - v)
 
 
 class TestRtreeEquivUpto:

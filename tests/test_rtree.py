@@ -12,6 +12,7 @@ from corec.errors import (
 )
 from corec.rtree import (
     INFINITE,
+    LEAF_COUNT_CAP,
     Lasso,
     LeafStep,
     OpStep,
@@ -291,6 +292,23 @@ class TestLasso:
         )
         t = RationalTree(SIG_AB, steps, 0)
         assert to_lasso(t) == Lasso((), ("a", "b"))
+
+
+class TestDeepLeafCount:
+    N = 3000
+
+    def test_chain(self):
+        steps = [OpStep("a", (i + 1,)) for i in range(self.N - 1)] + [LeafStep("y")]
+        assert count_param_leaves(RationalTree(SIG_MIX, tuple(steps), 0)) == 1
+
+    def test_doubling_dag_saturates(self):
+        steps = [OpStep("sigma", (i + 1, i + 1)) for i in range(self.N - 1)] + [LeafStep("y")]
+        assert count_param_leaves(RationalTree(SIG_MIX, tuple(steps), 0)) == LEAF_COUNT_CAP
+
+    def test_long_cycle_with_leaf(self):
+        steps = [OpStep("a", (i + 1,)) for i in range(self.N - 1)]
+        steps += [OpStep("sigma", (0, self.N)), LeafStep("y")]
+        assert count_param_leaves(RationalTree(SIG_MIX, tuple(steps), 0)) == INFINITE
 
 
 @st.composite

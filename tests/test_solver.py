@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corec.core import BOTTOM, EquationSystem, FlatTerm, Op, Param, ParamLeaf, Signature, Var
 from corec.errors import (
@@ -32,6 +33,7 @@ from corec.solver import (
     solve_anchored,
     solve_decomposed,
     tree_to_system,
+    _unary_view,
 )
 from corec.checker import FiniteAlgebra
 
@@ -434,3 +436,64 @@ class TestTreeToSystem:
         e, root = tree_to_system(t)
         assert root not in t.params()
         assert bisim_equal(solve(e)[root], t)
+
+
+def _classify_rescan(system):
+    """Layering by rescanning the unplaced variables once per layer: oracle for classify."""
+    view = _unary_view(system)
+    remaining = set(system.variables)
+    current = frozenset(x for x in remaining if isinstance(view[x], str))
+    layers = []
+    while current:
+        layers.append(current)
+        remaining -= current
+        current = frozenset(x for x in remaining if view[x][1] in layers[-1])
+    return tuple(layers), frozenset(remaining)
+
+
+@st.composite
+def unary_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = [f"x{i}" for i in range(n)]
+    rhs = {}
+    for x in names:
+        if draw(st.booleans()):
+            rhs[x] = FlatTerm(draw(st.sampled_from(["a", "b"])), (Var(draw(st.sampled_from(names))),))
+        else:
+            rhs[x] = Param(draw(st.sampled_from(["p", "q"])))
+    return EquationSystem(SIG_AB, tuple(names), ("p", "q"), rhs)
+
+
+def chain_system(n, cycle=False):
+    """x0 = a(x1), ..., with x(n-1) = p, or = a(x0) when cycle is set."""
+    rhs = {f"x{i}": FlatTerm("a", (Var(f"x{i + 1}"),)) for i in range(n - 1)}
+    rhs[f"x{n - 1}"] = FlatTerm("a", (Var("x0"),)) if cycle else Param("p")
+    return EquationSystem(SIG_A, tuple(rhs), () if cycle else ("p",), rhs)
+
+
+class TestClassifyOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(unary_systems())
+    def test_matches_rescan_oracle(self, e):
+        c = classify(e)
+        assert (c.layers, c.infinite_part) == _classify_rescan(e)
+
+
+class TestDeepUnary:
+    N = 3000
+
+    def test_classify_chain(self):
+        c = classify(chain_system(self.N))
+        assert [sorted(layer) for layer in c.layers] == [[f"x{i}"] for i in reversed(range(self.N))]
+        assert c.infinite_part == frozenset()
+
+    def test_classify_cycle(self):
+        c = classify(chain_system(self.N, cycle=True))
+        assert c.layers == ()
+        assert len(c.infinite_part) == self.N
+
+    def test_solve_anchored_chain(self):
+        e = chain_system(self.N)
+        values = solve_anchored(e, NEGATION_ACTION, {}, {"p": 0})
+        assert list(values) == list(e.variables)
+        assert all(values[f"x{i}"] == (self.N - 1 - i) % 2 for i in range(self.N))
