@@ -85,7 +85,6 @@ from .checker import (
     witness_non_cia,
 )
 from .cli import (
-    RunConfig,
     format_ceq,
     main,
     parse_ceq,

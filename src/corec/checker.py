@@ -28,7 +28,7 @@ from .errors import (
     SignatureMismatch,
     SizeLimitExceeded,
 )
-from .presentation import Presentation, Verdict3, rtree_equiv_upto
+from .presentation import Presentation, Verdict3, _axiom_variables, rtree_equiv_upto
 from .rtree import INFINITE, LeafStep, RationalTree, _levels, count_param_leaves
 from .solver import anchors, classify, solve, solve_anchored
 
@@ -86,10 +86,7 @@ def find_presentation_violation(
     if algebra.signature != presentation.signature:
         raise SignatureMismatch("algebra and presentation use different signatures")
     for left, right in presentation.axioms:
-        variables: dict = {}
-        for a in itertools.chain(left.args, right.args):
-            variables.setdefault(a, None)
-        names = list(variables)
+        names = _axiom_variables(left, right)
         for combo in itertools.product(algebra.carrier, repeat=len(names)):
             env = dict(zip(names, combo))
             lv = algebra.apply(left.head, tuple(env[a] for a in left.args))

@@ -16,7 +16,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .checker import CheckVerdict, FiniteAlgebra, SpineWitness, is_cia, is_corecursive, witness_non_cia
@@ -55,22 +54,6 @@ from .solver import (
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _TERM = re.compile(r"(?P<head>\S+?)\s*\(\s*(?P<args>[^()]*)\)\s*$")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command line options."""
-
-    command: str
-    depth: int = 16
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("depth must be at least 1")
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
 
 
 def _check_name(token: str, line: int, what: str) -> str:
@@ -604,10 +587,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         budget = args.budget
         if budget is None:
             budget = int(os.environ.get("COREC_BUDGET", DEFAULT_BUDGET))
-        config = RunConfig(
-            command=args.command, depth=args.depth, budget=budget, fmt=args.fmt
-        )
-        return _dispatch(config, args)
+        if args.depth < 1:
+            raise ValueError("depth must be at least 1")
+        if budget < 1:
+            raise ValueError("budget must be at least 1")
+        for name in ("max_vars", "atoms"):
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"{name} must be at least 0")
+        return _dispatch(args, budget)
     except SizeLimitExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -616,18 +603,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def _dispatch(config: RunConfig, args) -> int:
-    fmt = config.fmt
-    if config.command == "solve":
+def _dispatch(args, budget: int) -> int:
+    fmt = args.fmt
+    if args.command == "solve":
         system = parse_ceq(_read(args.file))
         sys.stdout.write(emit_solution(solve(system), fmt))
         return 0
-    if config.command == "classify":
+    if args.command == "classify":
         system = parse_ceq(_read(args.file))
         folded, _ = fold_constants(system)
         sys.stdout.write(emit_classification(classify(folded), fmt))
         return 0
-    if config.command == "decompose":
+    if args.command == "decompose":
         system = parse_ceq(_read(args.file))
         folded, relabel = fold_constants(system)
         solution = solve_decomposed(folded)
@@ -636,43 +623,43 @@ def _dispatch(config: RunConfig, args) -> int:
             notes = " ".join(f"{k}={v}()" for k, v in sorted(relabel.items()))
             sys.stdout.write(f"# folded constants: {notes}\n")
         return 0
-    if config.command == "check":
+    if args.command == "check":
         algebra = parse_falg(_read(args.algebra))
         run = is_corecursive if args.corecursive else is_cia
-        verdict = run(algebra, args.max_vars, config.budget)
+        verdict = run(algebra, args.max_vars, budget)
         sys.stdout.write(emit_check(verdict, fmt))
         return 0 if verdict.holds else 1
-    if config.command == "reduce":
+    if args.command == "reduce":
         presentation = parse_pres(_read(args.presentation))
-        reduced, translation = reduce_presentation(presentation, config.budget)
+        reduced, translation = reduce_presentation(presentation, budget)
         sys.stdout.write(format_pres(reduced))
         for original in sorted(translation):
             target, embedding = translation[original]
             coords = " ".join(str(i) for i in embedding)
             sys.stdout.write(f"# {original} -> {target} [{coords}]\n")
         return 0
-    if config.command == "witness":
+    if args.command == "witness":
         signature = Signature(tuple(_parse_signature_tokens(args.symbols, 1)))
-        witness = witness_non_cia(signature, config.depth)
+        witness = witness_non_cia(signature, args.depth)
         sys.stdout.write(emit_witness(witness, fmt))
         return 0 if witness.ok else 1
-    if config.command == "equal":
+    if args.command == "equal":
         left = _root_tree(args.left)
         right = _root_tree(args.right)
         if args.pres is not None:
             presentation = parse_pres(_read(args.pres))
             verdict = rtree_equiv_upto(
-                presentation, left, right, config.depth, config.budget
+                presentation, left, right, args.depth, budget
             )
             sys.stdout.write(emit_verdict3(verdict, fmt))
             return {"equal": 0, "distinct": 1}.get(verdict.status, 4)
         same = bisim_equal(left, right)
         sys.stdout.write(("equal" if same else "distinct") + "\n")
         return 0 if same else 1
-    if config.command == "quotient":
+    if args.command == "quotient":
         presentation = parse_pres(_read(args.presentation))
         atoms = [f"x{i + 1}" for i in range(args.atoms)]
-        classes = quotient_classes(presentation, atoms, config.budget)
+        classes = quotient_classes(presentation, atoms, budget)
         if fmt == "json":
             doc = {
                 "kind": "quotient",
@@ -685,7 +672,7 @@ def _dispatch(config: RunConfig, args) -> int:
                 sys.stdout.write("{" + ", ".join(str(t) for t in cls) + "}\n")
             sys.stdout.write(f"count: {len(classes)}\n")
         return 0
-    raise ValueError(f"unknown command {config.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def run() -> None:

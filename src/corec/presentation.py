@@ -27,7 +27,7 @@ from .core import (
     substitute_flat,
     tree_params,
 )
-from .errors import SizeLimitExceeded, UnboundAtom
+from .errors import SignatureMismatch, SizeLimitExceeded, UnboundAtom
 from .rtree import RationalTree, cut
 
 
@@ -611,8 +611,13 @@ def rtree_equiv_upto(
 
     Compares the depth-j truncations for every j up to the requested depth.
     One refuted level refutes the pair; equality holds only up to the depth
-    actually checked; unknown levels make the whole answer unknown.
+    actually checked; unknown levels make the whole answer unknown.  A
+    symbol that the presentation declares with another arity than a tree
+    does raises SignatureMismatch; symbols on one side only are fine.
     """
+    for name, arity in left.signature.symbols + right.signature.symbols:
+        if name in presentation.signature and presentation.signature.arity(name) != arity:
+            raise SignatureMismatch(f"{name!r} has another arity in the presentation")
     unknown: Verdict3 | None = None
     for level in range(1, depth + 1):
         verdict = tree_equiv_bounded(

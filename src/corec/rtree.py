@@ -228,11 +228,10 @@ def _refine(steps: Sequence[Step]) -> list[int]:
         block = new_block
 
 
-def minimize(tree: RationalTree) -> RationalTree:
-    """The unique smallest system bisimilar to the input."""
-    block = _refine(tree.steps)
+def _quotient(steps: Sequence[Step], block: Sequence[int]) -> tuple[Step, ...]:
+    """The steps of the quotient system, one state per block of a bisimulation."""
     rep_step: dict[int, Step] = {}
-    for i, st in enumerate(tree.steps):
+    for i, st in enumerate(steps):
         b = block[i]
         if b in rep_step:
             continue
@@ -240,8 +239,13 @@ def minimize(tree: RationalTree) -> RationalTree:
             rep_step[b] = OpStep(st.symbol, tuple(block[c] for c in st.children))
         else:
             rep_step[b] = st
-    steps = tuple(rep_step[b] for b in range(len(rep_step)))
-    return RationalTree(tree.signature, steps, block[tree.root])
+    return tuple(rep_step[b] for b in range(len(rep_step)))
+
+
+def minimize(tree: RationalTree) -> RationalTree:
+    """The unique smallest system bisimilar to the input."""
+    block = _refine(tree.steps)
+    return RationalTree(tree.signature, _quotient(tree.steps, block), block[tree.root])
 
 
 def bisim_equal(left: RationalTree, right: RationalTree) -> bool:
@@ -420,7 +424,10 @@ class Lasso:
 
 
 def from_lasso(lasso: Lasso, signature: Signature) -> RationalTree:
-    """The closed tree denoted by the stream, as a prefix chain plus a cycle."""
+    """The closed tree denoted by the stream, as a prefix chain plus a cycle.
+
+    Minimal as built: in a normal-form lasso no two states read the same stream.
+    """
     if not signature.all_unary:
         raise NonUnarySignature("lasso decoding needs an all-unary signature")
     word = lasso.prefix + lasso.period
@@ -433,7 +440,7 @@ def from_lasso(lasso: Lasso, signature: Signature) -> RationalTree:
         OpStep(word[i], (i + 1 if i + 1 < total else loop_entry,))
         for i in range(total)
     )
-    return minimize(RationalTree(signature, steps, 0))
+    return RationalTree(signature, steps, 0)
 
 
 def to_lasso(tree: RationalTree) -> Lasso:

@@ -30,51 +30,53 @@ from .rtree import (
     LeafStep,
     OpStep,
     RationalTree,
-    bisim_equal,
+    Step,
     from_lasso,
-    leaf,
-    minimize,
-    op_apply,
+    minimize,  # unused here; perfbench/tracing.py wraps solver.minimize by name
+    _quotient,
+    _refine,
+    _shifted,
     _walk_lasso,
 )
+
+
+def _rhs_steps(system: EquationSystem, var_state: Mapping[str, int], base: int) -> list[Step]:
+    """The right-hand sides as steps for a joint system, placed from index ``base``.
+
+    Variable i's right-hand side is state ``base + i`` and a variable atom
+    points at ``var_state``; after the right-hand sides comes one shared
+    leaf per parameter used as an atom inside a flat term.
+    """
+    n = len(system.variables)
+    leaf_state: dict[str, int] = {}
+    steps: list[Step] = []
+    for x in system.variables:
+        r = system.rhs_of(x)
+        if isinstance(r, Param):
+            steps.append(LeafStep(r.name))
+        else:
+            children = (
+                var_state[a.name] if isinstance(a, Var)
+                else leaf_state.setdefault(a.name, base + n + len(leaf_state))
+                for a in r.args
+            )
+            steps.append(OpStep(r.head, tuple(children)))
+    return steps + [LeafStep(p) for p in leaf_state]
 
 
 def solve(system: EquationSystem) -> dict[str, RationalTree]:
     """The unique solution of the system, one rational tree per variable.
 
     States are the variables plus one leaf per parameter mentioned inside a
-    flat term; each variable's step is read directly off its right-hand
-    side, and the per-variable trees are minimized.
+    flat term, each variable's step read directly off its right-hand side.
+    One refinement of that system gives its bisimulation quotient, and each
+    variable's tree is its block in the quotient, so every tree is minimal.
     """
-    sig = system.signature
     var_state = {x: i for i, x in enumerate(system.variables)}
-    steps: list = [None] * len(system.variables)
-    leaf_state: dict[str, int] = {}
-
-    def param_state(name: str) -> int:
-        if name not in leaf_state:
-            leaf_state[name] = len(steps)
-            steps.append(LeafStep(name))
-        return leaf_state[name]
-
-    for x in system.variables:
-        r = system.rhs_of(x)
-        if isinstance(r, Param):
-            steps[var_state[x]] = LeafStep(r.name)
-        else:
-            children = []
-            for a in r.args:
-                if isinstance(a, Var):
-                    children.append(var_state[a.name])
-                else:
-                    children.append(param_state(a.name))
-            steps[var_state[x]] = OpStep(r.head, tuple(children))
-
-    all_steps = tuple(steps)
-    return {
-        x: minimize(RationalTree(sig, all_steps, var_state[x]))
-        for x in system.variables
-    }
+    steps = _rhs_steps(system, var_state, 0)
+    block = _refine(steps)
+    quotient = _quotient(steps, block)
+    return {x: RationalTree(system.signature, quotient, block[i]) for x, i in var_state.items()}
 
 
 def is_tree_solution(
@@ -84,26 +86,24 @@ def is_tree_solution(
 
     For every variable the assigned tree must unfold, at the root, exactly
     as the right-hand side does with atoms resolved through the assignment.
+    The assigned trees and one state per right-hand side form one joint
+    system, refined once; each variable's tree must share its right-hand
+    side's block.
     """
-    sig = system.signature
+    if any(x not in assignment for x in system.variables):
+        return False
+    steps: list[Step] = []
+    root: dict[str, int] = {}
     for x in system.variables:
-        if x not in assignment:
-            return False
-    for x in system.variables:
-        r = system.rhs_of(x)
-        if isinstance(r, Param):
-            expected = leaf(sig, r.name)
-        else:
-            children = []
-            for a in r.args:
-                if isinstance(a, Var):
-                    children.append(assignment[a.name])
-                else:
-                    children.append(leaf(sig, a.name))
-            expected = op_apply(sig, r.head, children)
-        if not bisim_equal(assignment[x], expected):
-            return False
-    return True
+        tree = assignment[x]
+        if tree.signature != system.signature:
+            raise SignatureMismatch(f"tree for {x!r} is over a different signature")
+        root[x] = len(steps) + tree.root
+        steps += _shifted(tree.steps, len(steps))
+    base = len(steps)
+    steps += _rhs_steps(system, root, base)
+    block = _refine(steps)
+    return all(block[root[x]] == block[base + i] for i, x in enumerate(system.variables))
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class FinitePart:
             OpStep(w, (i + 1,)) for i, w in enumerate(self.word)
         ]
         steps.append(LeafStep(self.leaf))
-        return minimize(RationalTree(signature, tuple(steps), 0))
+        return RationalTree(signature, tuple(steps), 0)  # distinct depths: already minimal
 
 
 @dataclass(frozen=True)

@@ -316,6 +316,24 @@ class TestMain:
     def test_bad_depth_is_input_error(self, capsys):
         assert main(["-k", "0", "witness", "sigma:2"]) == 2
 
+    def test_negative_counts_are_input_errors(self, tmp_path, capsys):
+        trivial = self._write(tmp_path, "one.falg", "signature a:1\ncarrier 0\ntable a: 0 -> 0\n")
+        assert main(["check", "--cia", trivial, "-1"]) == 2
+        pres = self._write(tmp_path, "sl.pres", SEMILATTICE_PRES)
+        assert main(["quotient", pres, "--atoms", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_equal_modulo_arity_conflict(self, tmp_path, capsys):
+        left = self._write(tmp_path, "l.ceq", "signature f:2\nparams y\neq x = f(x, y)\n")
+        right = self._write(tmp_path, "r.ceq", "signature f:2\nparams y\neq x = f(y, x)\n")
+        wider = self._write(tmp_path, "f3.pres", "signature f:3\naxiom f(p, q, r) = f(q, r, p)\n")
+        narrower = self._write(tmp_path, "f1.pres", "signature f:1 a:0\naxiom f(u) = a()\n")
+        for pres in (wider, narrower):
+            assert main(["-k", "4", "equal", left, right, "--pres", pres]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: ") == 2
+
 
 SIG_MU = Signature((("f", 2), ("g", 1), ("c", 0)))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from corec.core import BOTTOM, ParamLeaf, Signature, flat, op
-from corec.errors import SizeLimitExceeded
+from corec.errors import SignatureMismatch, SizeLimitExceeded
 from corec.presentation import (
     Presentation,
     Verdict3,
@@ -388,6 +388,21 @@ class TestRtreeEquivUpto:
         left = RationalTree(SIG_US, (OpStep("u", (0, 1)), LeafStep("a")), 0)
         right = RationalTree(SIG_US, (OpStep("u", (1, 0)), LeafStep("a")), 0)
         assert rtree_equiv_upto(COMM, left, right, 6).is_equal
+
+    def test_arity_conflict_is_signature_mismatch(self):
+        sig = Signature((("f", 2),))
+        left = RationalTree(sig, (OpStep("f", (0, 1)), LeafStep("y")), 0)
+        right = RationalTree(sig, (OpStep("f", (1, 0)), LeafStep("y")), 0)
+        wider = Presentation(
+            Signature((("f", 3),)), ((flat("f", "p", "q", "r"), flat("f", "q", "r", "p")),)
+        )
+        # narrower: the two distinct trees read as equal under f(u) = a()
+        narrower = Presentation(Signature((("f", 1), ("a", 0))), ((flat("f", "u"), flat("a")),))
+        for presentation in (wider, narrower):
+            with pytest.raises(SignatureMismatch):
+                rtree_equiv_upto(presentation, left, right, 4)
+        # a symbol on one side only is no conflict
+        assert rtree_equiv_upto(SEMILATTICE, left, left, 4).is_equal
 
 
 class TestVerdict3:

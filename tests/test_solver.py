@@ -8,6 +8,7 @@ from corec.errors import (
     InvalidAnchor,
     NonUnarySignature,
     ParameterMismatch,
+    SignatureMismatch,
     UnsupportedSystem,
 )
 from corec.rtree import (
@@ -18,8 +19,11 @@ from corec.rtree import (
     bisim_equal,
     count_param_leaves,
     cut,
+    from_lasso,
     graft,
     leaf,
+    minimize,
+    op_apply,
 )
 from corec.solver import (
     FinitePart,
@@ -497,3 +501,166 @@ class TestDeepUnary:
         values = solve_anchored(e, NEGATION_ACTION, {}, {"p": 0})
         assert list(values) == list(e.variables)
         assert all(values[f"x{i}"] == (self.N - 1 - i) % 2 for i in range(self.N))
+
+
+SIG_K = Signature((("f", 2), ("g", 1), ("h", 3), ("c", 0)))
+
+
+def _system_steps(system):
+    """Unrefined states of the system: variables first, then one leaf per parameter atom."""
+    var_state = {x: i for i, x in enumerate(system.variables)}
+    steps = [None] * len(system.variables)
+    leaf_state = {}
+    for x in system.variables:
+        r = system.rhs_of(x)
+        if isinstance(r, Param):
+            steps[var_state[x]] = LeafStep(r.name)
+            continue
+        children = []
+        for a in r.args:
+            if isinstance(a, Var):
+                children.append(var_state[a.name])
+            else:
+                if a.name not in leaf_state:
+                    leaf_state[a.name] = len(steps)
+                    steps.append(LeafStep(a.name))
+                children.append(leaf_state[a.name])
+        steps[var_state[x]] = OpStep(r.head, tuple(children))
+    return tuple(steps), var_state
+
+
+def _solve_per_variable(system):
+    """Per-variable minimize of the whole system: oracle for solve's one refinement."""
+    steps, var_state = _system_steps(system)
+    return {x: minimize(RationalTree(system.signature, steps, i)) for x, i in var_state.items()}
+
+
+def _is_tree_solution_rebuild(system, assignment):
+    """Each right-hand side rebuilt by op_apply and compared by bisim_equal: oracle."""
+    sig = system.signature
+    if any(x not in assignment for x in system.variables):
+        return False
+    for x in system.variables:
+        r = system.rhs_of(x)
+        if isinstance(r, Param):
+            expected = leaf(sig, r.name)
+        else:
+            children = [
+                assignment[a.name] if isinstance(a, Var) else leaf(sig, a.name) for a in r.args
+            ]
+            expected = op_apply(sig, r.head, children)
+        if not bisim_equal(assignment[x], expected):
+            return False
+    return True
+
+
+@st.composite
+def kary_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    names = [f"x{i}" for i in range(n)]
+    atoms = st.sampled_from(names + ["p", "q"])
+    rhs = {}
+    for x in names:
+        symbol = draw(st.sampled_from(["f", "g", "h", "c", "p", "q"]))
+        if symbol in ("p", "q"):
+            rhs[x] = Param(symbol)
+        else:
+            arity = SIG_K.arity(symbol)
+            args = draw(st.lists(atoms, min_size=arity, max_size=arity))
+            rhs[x] = FlatTerm(symbol, tuple(Var(a) if a in names else Param(a) for a in args))
+    return EquationSystem(SIG_K, tuple(names), ("p", "q"), rhs)
+
+
+@st.composite
+def small_trees(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    steps = []
+    for _ in range(n):
+        symbol = draw(st.sampled_from(["f", "g", "c", "p"]))
+        if symbol == "p":
+            steps.append(LeafStep("p"))
+        else:
+            arity = SIG_K.arity(symbol)
+            kids = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity))
+            steps.append(OpStep(symbol, tuple(kids)))
+    return RationalTree(SIG_K, tuple(steps), 0)
+
+
+class TestSolveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(kary_systems())
+    def test_matches_per_variable_minimize(self, e):
+        sol = solve(e)
+        assert list(sol) == list(e.variables)
+        assert sol == _solve_per_variable(e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kary_systems())
+    def test_is_tree_solution_on_true_solutions(self, e):
+        sol = solve(e)
+        assert is_tree_solution(e, sol) and _is_tree_solution_rebuild(e, sol)
+        # the unminimized system is a solution as well
+        steps, var_state = _system_steps(e)
+        raw = {x: RationalTree(SIG_K, steps, i) for x, i in var_state.items()}
+        assert is_tree_solution(e, raw) and _is_tree_solution_rebuild(e, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kary_systems(), st.data())
+    def test_is_tree_solution_on_perturbed_assignments(self, e, data):
+        assignment = dict(solve(e))
+        for x in data.draw(st.lists(st.sampled_from(e.variables), min_size=1, max_size=3)):
+            if data.draw(st.booleans()):
+                assignment[x] = assignment[data.draw(st.sampled_from(e.variables))]
+            else:
+                assignment[x] = data.draw(small_trees())
+        assert is_tree_solution(e, assignment) == _is_tree_solution_rebuild(e, assignment)
+
+    def test_missing_variable_and_foreign_signature(self):
+        e = spine_system()
+        sol = solve(e)
+        assert not is_tree_solution(e, {"x1": sol["x1"]})
+        with pytest.raises(SignatureMismatch):
+            is_tree_solution(e, {**sol, "x2": leaf(SIG_A, "y")})
+
+
+class TestRefineOnce:
+    @pytest.fixture
+    def refinements(self, monkeypatch):
+        import corec.rtree
+        import corec.solver
+
+        calls = []
+        original = corec.rtree._refine
+
+        def counted(steps):
+            calls.append(len(steps))
+            return original(steps)
+
+        monkeypatch.setattr(corec.rtree, "_refine", counted)
+        monkeypatch.setattr(corec.solver, "_refine", counted, raising=False)
+        return calls
+
+    def test_solve_refines_once(self, refinements):
+        e = chain_system(50)
+        solve(e)
+        assert len(refinements) == 1
+
+    def test_is_tree_solution_refines_once(self, refinements):
+        e = chain_system(50)
+        sol = solve(e)
+        refinements.clear()
+        assert is_tree_solution(e, sol)
+        assert len(refinements) == 1
+
+
+class TestMinimalAsBuilt:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b"]), max_size=8),
+        st.lists(st.sampled_from(["a", "b"]), min_size=1, max_size=8),
+    )
+    def test_from_lasso_and_finite_word(self, prefix, period):
+        t = from_lasso(Lasso(tuple(prefix), tuple(period)), SIG_AB)
+        assert minimize(t) == t
+        w = FinitePart(tuple(prefix + period), "y").to_tree(SIG_AB)
+        assert minimize(w) == w
