@@ -430,4 +430,4 @@ def check_rewrite_invariance(
             return Verdict3.distinct({"variable": x, "witness": verdict.witness})
         if verdict.is_unknown:
             unknown = verdict
-    return unknown if unknown is not None else Verdict3.equal()
+    return unknown if unknown is not None else Verdict3.equal(depth)

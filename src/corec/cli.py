@@ -465,16 +465,19 @@ def emit_check(verdict: CheckVerdict, fmt: str) -> str:
 def emit_verdict3(verdict: Verdict3, fmt: str) -> str:
     if fmt == "json":
         doc = {"kind": "verdict", "status": verdict.status}
+        if verdict.depth is not None:
+            doc["depth"] = verdict.depth
         if verdict.witness is not None:
             doc["witness"] = repr(verdict.witness)
         if verdict.budget_used is not None:
             doc["budget_used"] = verdict.budget_used
         return json.dumps(doc, indent=2) + "\n"
+    scope = "" if verdict.depth is None else f" up to depth {verdict.depth}"
     if verdict.is_equal:
-        return "equal\n"
+        return f"equal{scope}\n"
     if verdict.is_distinct:
         return f"distinct: {verdict.witness!r}\n"
-    return f"unknown (budget used: {verdict.budget_used})\n"
+    return f"unknown{scope} (budget used: {verdict.budget_used})\n"
 
 
 def emit_witness(witness: SpineWitness, fmt: str) -> str:

@@ -25,10 +25,13 @@ from .core import (
     Signature,
     enumerate_flat_terms,
     substitute_flat,
-    tree_params,
 )
 from .errors import SignatureMismatch, SizeLimitExceeded, UnboundAtom
-from .rtree import RationalTree, cut
+from .rtree import (
+    RationalTree,
+    _truncate,
+    cut,  # unused here; perfbench/tracing.py wraps presentation.cut by name
+)
 
 
 @dataclass(frozen=True)
@@ -386,23 +389,28 @@ def make_constants_explicit(
 
 @dataclass(frozen=True)
 class Verdict3:
-    """Outcome of a bounded equivalence decision: equal, distinct, or unknown."""
+    """Outcome of a bounded equivalence decision: equal, distinct, or unknown.
+
+    ``depth`` is the truncation depth up to which two rational trees were
+    compared; it is None for a comparison of finite trees.
+    """
 
     status: str
     witness: object = None
     budget_used: int | None = None
+    depth: int | None = None
 
     @classmethod
-    def equal(cls) -> "Verdict3":
-        return cls("equal")
+    def equal(cls, depth: int | None = None) -> "Verdict3":
+        return cls("equal", depth=depth)
 
     @classmethod
     def distinct(cls, witness: object) -> "Verdict3":
         return cls("distinct", witness=witness)
 
     @classmethod
-    def unknown(cls, budget_used: int) -> "Verdict3":
-        return cls("unknown", budget_used=budget_used)
+    def unknown(cls, budget_used: int, depth: int | None = None) -> "Verdict3":
+        return cls("unknown", budget_used=budget_used, depth=depth)
 
     @property
     def is_equal(self) -> bool:
@@ -418,14 +426,25 @@ class Verdict3:
 
 
 class _TreeDag(_UnionFind):
-    """Hash-consed term dag with union-find and congruence closure."""
+    """Hash-consed term dag with union-find and congruence closure.
+
+    Congruence closure follows Downey, Sethi and Tarjan (1980): a signature
+    table maps (symbol, classes of the children) to an op node, every class
+    keeps the op nodes with a child in it (its use-list), and a union queues
+    the uses of the absorbed class.  Closing rehashes only queued nodes, so
+    its cost follows the merges instead of the dag's size.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self.kind: list[str] = []
         self.label: list[str] = []
         self.kids: list[tuple[int, ...]] = []
+        self.by_head: dict[str, list[int]] = {}  # op nodes per symbol, ascending
         self._memo: dict[tuple, int] = {}
+        self._uses: list[list[int]] = []  # per class root
+        self._signatures: dict[tuple, int] = {}
+        self._queue: list[int] = []  # op nodes whose signature may have changed
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -434,7 +453,14 @@ class _TreeDag(_UnionFind):
         self.kind.append(kind)
         self.label.append(label)
         self.kids.append(kids)
-        return self.add()
+        self._uses.append([])
+        node = self.add()
+        if kind == "op":
+            self.by_head.setdefault(label, []).append(node)
+            for c in kids:
+                self._uses[self.find(c)].append(node)
+            self._queue.append(node)
+        return node
 
     def leaf(self, label: str) -> int:
         key = ("leaf", label)
@@ -455,22 +481,52 @@ class _TreeDag(_UnionFind):
     def intern(self, tree: FiniteTree) -> int:
         return _fold_tree(tree, self.leaf, self.op)
 
+    def truncations(self, tree: RationalTree, depth: int) -> list[int]:
+        """Intern the truncations of a rational tree at depths 1..depth.
+
+        One node per (state, remaining depth) pair serves every depth.
+        """
+        return _truncate(tree, depth, self._make, every_depth=True)
+
+    def _make(self, label: str, kids: tuple[int, ...] | None) -> int:
+        return self.leaf(label) if kids is None else self.op(label, kids)
+
+    def symbols(self) -> Iterable[tuple[str, int]]:
+        """Each (symbol, number of children) of the op nodes once, in node order."""
+        return dict.fromkeys(
+            (self.label[i], len(self.kids[i])) for i in range(len(self)) if self.kind[i] == "op"
+        )
+
+    def below(self, *roots: int) -> list[int]:
+        """The nodes reachable from the roots, ascending: children before parents."""
+        seen = set(roots)
+        stack = list(roots)
+        while stack:
+            for c in self.kids[stack.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+        return sorted(seen)
+
+    def union(self, a: int, b: int) -> bool:
+        keep, gone = sorted((self.find(a), self.find(b)))
+        if not super().union(keep, gone):
+            return False
+        moved = self._uses[gone]
+        self._uses[gone] = []
+        self._uses[keep] += moved
+        self._queue += moved
+        return True
+
     def close_congruence(self) -> None:
         """Merge nodes with the same symbol and classwise-equal children."""
-        while True:
-            changed = False
-            table: dict[tuple, int] = {}
-            for i in range(len(self.kind)):
-                if self.kind[i] != "op":
-                    continue
-                key = (self.label[i], tuple(self.find(c) for c in self.kids[i]))
-                prev = table.get(key)
-                if prev is None:
-                    table[key] = i
-                elif self.union(prev, i):
-                    changed = True
-            if not changed:
-                return
+        find, table, queue = self.find, self._signatures, self._queue
+        while queue:
+            node = queue.pop()
+            key = (self.label[node], tuple([find(c) for c in self.kids[node]]))
+            other = table.setdefault(key, node)
+            if other != node:
+                self.union(other, node)
 
 
 def _fold_tree(tree: FiniteTree, leaf, node):
@@ -497,17 +553,20 @@ def _fold_tree(tree: FiniteTree, leaf, node):
     return memo[id(tree)]
 
 
-def _eval_tree_in_model(model, tree: FiniteTree, env: Mapping[str, object]):
-    return _fold_tree(tree, env.__getitem__, model.apply)
+def _check_arities(presentation: Presentation, symbols: Iterable[tuple[str, int]]) -> None:
+    """Reject a symbol that the presentation declares with another arity."""
+    signature = presentation.signature
+    for name, arity in symbols:
+        if name in signature and signature.arity(name) != arity:
+            raise SignatureMismatch(f"{name!r} has another arity in the presentation")
 
 
-def _model_refutation(
-    models: Sequence, left: FiniteTree, right: FiniteTree, budget: int | None
-):
-    """A (model, valuation) separating the two trees, if some model does."""
+def _model_refutation(models: Sequence, dag: _TreeDag, left: int, right: int, budget: int | None):
+    """A (model, valuation) separating two dag nodes, if some model does."""
     if not models:
         return None
-    labels = sorted(tree_params(left) | tree_params(right))
+    nodes = dag.below(left, right)
+    labels = sorted({dag.label[n] for n in nodes if dag.kind[n] == "leaf"})
     checked = 0
     for index, model in enumerate(models):
         carrier = list(model.carrier)
@@ -516,11 +575,90 @@ def _model_refutation(
             if budget is not None and checked > budget:
                 return None
             env = dict(zip(labels, combo))
-            lv = _eval_tree_in_model(model, left, env)
-            rv = _eval_tree_in_model(model, right, env)
-            if lv != rv:
-                return {"model": index, "valuation": env, "values": (lv, rv)}
+            value: dict[int, object] = {}
+            for n in nodes:
+                if dag.kind[n] == "leaf":
+                    value[n] = env[dag.label[n]]
+                else:
+                    value[n] = model.apply(dag.label[n], tuple([value[c] for c in dag.kids[n]]))
+            if value[left] != value[right]:
+                return {"model": index, "valuation": env, "values": (value[left], value[right])}
     return None
+
+
+def _refute(
+    presentation: Presentation,
+    dag: _TreeDag,
+    goals: list[tuple[int, int]],
+    budget: int | None,
+    models: Sequence,
+):
+    """The first goal pair, as (index, witness), that a model separates or, without axioms, syntax."""
+    for index, (left, right) in enumerate(goals):
+        witness = _model_refutation(models, dag, left, right, budget)
+        if witness is None and not presentation.axioms and left != right:
+            # hash-consing makes equal trees one node
+            witness = {"reason": "no axioms; trees differ syntactically"}
+        if witness is not None:
+            return index, witness
+    return None
+
+
+def _saturate(
+    presentation: Presentation,
+    dag: _TreeDag,
+    goals: list[tuple[int, int]],
+    budget: int | None,
+    depth: int | None = None,
+) -> Verdict3:
+    """Saturate the dag under the axioms until every goal pair is one class.
+
+    Rounds alternate congruence closure with one pass of every directed
+    axiom over the op nodes present at the round's start; goals are checked
+    after each closure.  Each merge an axiom instance makes costs one unit
+    of budget; past the budget, or after a round with no merge, the answer
+    is unknown.
+    """
+    dag.leaf(BOTTOM)
+    directed = []
+    for l, r in presentation.axioms:
+        for src, dst in ((l, r), (r, l)):
+            fresh = [v for v in _axiom_variables(dst, dst) if v not in set(src.args)]
+            directed.append((src, dst, fresh))
+    find = dag.find
+    spent = 0
+    progress = True
+    while True:
+        dag.close_congruence()
+        goals = [(a, b) for a, b in goals if find(a) != find(b)]
+        if not goals:
+            return Verdict3.equal(depth)
+        if not progress:
+            return Verdict3.unknown(spent, depth)
+        progress = False
+        node_count = len(dag)
+        class_nodes = [i for i, p in enumerate(dag.parent) if i == p]  # least members are roots
+        for src, dst, fresh in directed:
+            for node in dag.by_head.get(src.head, ()):
+                if node >= node_count:
+                    break
+                assignment: dict[Atom, int] = {}
+                for var, child in zip(src.args, dag.kids[node]):
+                    if var not in assignment:
+                        assignment[var] = child
+                    elif find(assignment[var]) != find(child):
+                        break
+                else:
+                    for combo in itertools.product(class_nodes, repeat=len(fresh)):
+                        env = dict(assignment)
+                        env.update(zip(fresh, combo))
+                        instance = dag.op(dst.head, tuple([env[v] for v in dst.args]))
+                        if find(node) != find(instance):
+                            dag.union(node, instance)
+                            progress = True
+                            spent += 1
+                            if budget is not None and spent > budget:
+                                return Verdict3.unknown(spent, depth)
 
 
 def tree_equiv_bounded(
@@ -539,64 +677,16 @@ def tree_equiv_bounded(
     variables appearing on one side only range over subtrees already present
     in the universe.  That restriction keeps the search finite but
     incomplete, hence the unknown outcome when the budget runs out or
-    saturation stalls.
+    saturation stalls.  A symbol of the trees that the presentation declares
+    with another arity raises SignatureMismatch.
     """
-    witness = _model_refutation(models, left, right, budget)
-    if witness is not None:
-        return Verdict3.distinct(witness)
     dag = _TreeDag()
-    left_id = dag.intern(left)
-    right_id = dag.intern(right)
-    if not presentation.axioms:  # hash-consing makes equal trees one node
-        if left_id == right_id:
-            return Verdict3.equal()
-        return Verdict3.distinct({"reason": "no axioms; trees differ syntactically"})
-    dag.leaf(BOTTOM)
-    directed = []
-    for l, r in presentation.axioms:
-        directed.append((l, r))
-        directed.append((r, l))
-    spent = 0
-    while True:
-        dag.close_congruence()
-        if dag.find(left_id) == dag.find(right_id):
-            return Verdict3.equal()
-        class_nodes = sorted({dag.find(i) for i in range(len(dag))})
-        progress = False
-        node_count = len(dag)
-        for src, dst in directed:
-            fresh_vars = [v for v in _axiom_variables(dst, dst) if v not in set(src.args)]
-            for node in range(node_count):
-                if dag.kind[node] != "op" or dag.label[node] != src.head:
-                    continue
-                assignment: dict[Atom, int] = {}
-                ok = True
-                for pos, var in enumerate(src.args):
-                    child = dag.kids[node][pos]
-                    if var in assignment:
-                        if dag.find(assignment[var]) != dag.find(child):
-                            ok = False
-                            break
-                    else:
-                        assignment[var] = child
-                if not ok:
-                    continue
-                for combo in itertools.product(class_nodes, repeat=len(fresh_vars)):
-                    env = dict(assignment)
-                    env.update(zip(fresh_vars, combo))
-                    instance = dag.op(
-                        dst.head, tuple(env[v] for v in dst.args)
-                    )
-                    if dag.union(node, instance):
-                        progress = True
-                        spent += 1
-                        if budget is not None and spent > budget:
-                            return Verdict3.unknown(spent)
-        if not progress:
-            dag.close_congruence()
-            if dag.find(left_id) == dag.find(right_id):
-                return Verdict3.equal()
-            return Verdict3.unknown(spent)
+    goal = (dag.intern(left), dag.intern(right))
+    _check_arities(presentation, dag.symbols())
+    refuted = _refute(presentation, dag, [goal], budget, models)
+    if refuted is not None:
+        return Verdict3.distinct(refuted[1])
+    return _saturate(presentation, dag, [goal], budget)
 
 
 def rtree_equiv_upto(
@@ -607,24 +697,21 @@ def rtree_equiv_upto(
     budget: int | None = DEFAULT_BUDGET,
     models: Sequence = (),
 ) -> Verdict3:
-    """Level-by-level congruence comparison of two rational trees.
+    """Congruence comparison of two rational trees at every depth 1..depth.
 
-    Compares the depth-j truncations for every j up to the requested depth.
-    One refuted level refutes the pair; equality holds only up to the depth
-    actually checked; unknown levels make the whole answer unknown.  A
-    symbol that the presentation declares with another arity than a tree
-    does raises SignatureMismatch; symbols on one side only are fine.
+    The truncations at all depths go into one dag, where a (state, remaining
+    depth) node is shared by every depth, and one saturation decides them
+    together.  The shallowest depth a model (or, without axioms, syntax)
+    refutes refutes the pair; equality holds only up to the depth checked,
+    which the verdict records; otherwise the answer is unknown.  A symbol
+    that the presentation declares with another arity than a tree does
+    raises SignatureMismatch; symbols on one side only are fine.
     """
-    for name, arity in left.signature.symbols + right.signature.symbols:
-        if name in presentation.signature and presentation.signature.arity(name) != arity:
-            raise SignatureMismatch(f"{name!r} has another arity in the presentation")
-    unknown: Verdict3 | None = None
-    for level in range(1, depth + 1):
-        verdict = tree_equiv_bounded(
-            presentation, cut(left, level), cut(right, level), budget, models
-        )
-        if verdict.is_distinct:
-            return Verdict3.distinct({"level": level, "witness": verdict.witness})
-        if verdict.is_unknown:
-            unknown = verdict
-    return unknown if unknown is not None else Verdict3.equal()
+    _check_arities(presentation, left.signature.symbols + right.signature.symbols)
+    dag = _TreeDag()
+    goals = list(zip(dag.truncations(left, depth), dag.truncations(right, depth)))
+    refuted = _refute(presentation, dag, goals, budget, models)
+    if refuted is not None:
+        index, witness = refuted
+        return Verdict3.distinct({"level": index + 1, "witness": witness})
+    return _saturate(presentation, dag, goals, budget, depth)

@@ -59,8 +59,10 @@ class RationalTree:
 
     Construction prunes states unreachable from the root and renumbers the
     rest in breadth-first order, so structurally equal values denote the
-    same system literally.  Structural equality is *not* bisimilarity; use
-    bisim_equal for tree equality.
+    same system literally.  Only the reachable steps are validated (arity,
+    child range, step type): an unreachable state is dropped unchecked, so
+    validation costs time in the reachable part only.  Structural equality
+    is *not* bisimilarity; use bisim_equal for tree equality.
     """
 
     signature: Signature
@@ -73,27 +75,28 @@ class RationalTree:
             raise ValueError("a rational tree needs at least one state")
         if not 0 <= self.root < len(steps):
             raise ValueError(f"root {self.root} out of range")
-        for i, st in enumerate(steps):
+        order = [self.root]
+        renum = {self.root: 0}
+        new_steps: list[Step] = []
+        for s in order:  # order grows while it is walked
+            st = steps[s]
             if isinstance(st, OpStep):
                 arity = self.signature.arity(st.symbol)
                 if len(st.children) != arity:
                     raise ArityMismatch(
-                        f"state {i}: {st.symbol!r} has arity {arity}, got {len(st.children)} children"
+                        f"state {s}: {st.symbol!r} has arity {arity}, got {len(st.children)} children"
                     )
                 for c in st.children:
                     if not 0 <= c < len(steps):
-                        raise ValueError(f"state {i} points at missing state {c}")
-            elif not isinstance(st, LeafStep):
-                raise ValueError(f"state {i} has an invalid step {st!r}")
-        order = _bfs_order(steps, self.root)
-        renum = {s: i for i, s in enumerate(order)}
-        new_steps = []
-        for s in order:
-            st = steps[s]
-            if isinstance(st, OpStep):
+                        raise ValueError(f"state {s} points at missing state {c}")
+                    if c not in renum:
+                        renum[c] = len(order)
+                        order.append(c)
                 new_steps.append(OpStep(st.symbol, tuple(renum[c] for c in st.children)))
-            else:
+            elif isinstance(st, LeafStep):
                 new_steps.append(st)
+            else:
+                raise ValueError(f"state {s} has an invalid step {st!r}")
         object.__setattr__(self, "steps", tuple(new_steps))
         object.__setattr__(self, "root", 0)
 
@@ -107,21 +110,6 @@ class RationalTree:
             if isinstance(st, LeafStep):
                 seen.setdefault(st.param, None)
         return tuple(seen)
-
-
-def _bfs_order(steps: Sequence[Step], root: int) -> list[int]:
-    order = [root]
-    seen = {root}
-    i = 0
-    while i < len(order):
-        st = steps[order[i]]
-        i += 1
-        if isinstance(st, OpStep):
-            for c in st.children:
-                if c not in seen:
-                    seen.add(c)
-                    order.append(c)
-    return order
 
 
 def _children(step: Step) -> tuple[int, ...]:
@@ -257,20 +245,31 @@ def bisim_equal(left: RationalTree, right: RationalTree) -> bool:
     return block[left.root] == block[offset + right.root]
 
 
-def _truncate(tree: RationalTree, depth: int, make):
+def _truncate(tree: RationalTree, depth: int, make, every_depth: bool = False) -> list:
     """Build the unfolding truncated at the given depth, bottom-up.
 
     ``make(label, None)`` builds a leaf and ``make(symbol, kids)`` an inner
     node; it is called once per (state, remaining depth) pair reachable
     from the root.  The states needed at each remaining depth are collected
     top-down first, then each level is built from the one below it, so the
-    walk needs no recursion at any depth.
+    walk needs no recursion at any depth.  A tree that already uses the
+    reserved cut label raises ReservedParameter.  Returns the root of the
+    truncation at the given depth, or with ``every_depth`` the roots of the
+    truncations at depths 1..depth, which share every (state, remaining
+    depth) pair.
     """
+    steps = tree.steps
+    for st in steps:
+        if isinstance(st, LeafStep) and st.param == BOTTOM:
+            raise ReservedParameter("tree already uses the reserved cut label")
     if depth < 0:
         raise ValueError("cut depth must be nonnegative")
-    steps = tree.steps
     needed = _levels(tree, depth)  # needed[i]: states at remaining depth depth - i
+    if every_depth:  # the depth-j truncation needs depth i <= j at remaining depth j - i
+        for i in range(1, len(needed)):
+            needed[i] |= needed[i - 1]
     built = {s: make(BOTTOM, None) for s in needed.pop()}
+    roots = []
     while needed:
         level: dict = {}
         for s in needed.pop():
@@ -280,7 +279,9 @@ def _truncate(tree: RationalTree, depth: int, make):
             else:
                 level[s] = make(st.symbol, tuple(built[c] for c in st.children))
         built = level
-    return built[tree.root]
+        if every_depth:
+            roots.append(built[tree.root])
+    return roots if every_depth else [built[tree.root]]
 
 
 def _finite_node(label: str, kids: tuple | None) -> FiniteTree:
@@ -294,10 +295,7 @@ def cut(tree: RationalTree, depth: int) -> FiniteTree:
     replaced by the reserved bottom leaf.  Shared (state, depth) pairs reuse
     one result object, so the output is a compact dag.
     """
-    for st in tree.steps:
-        if isinstance(st, LeafStep) and st.param == BOTTOM:
-            raise ReservedParameter("tree already uses the reserved cut label")
-    return _truncate(tree, depth, _finite_node)
+    return _truncate(tree, depth, _finite_node)[0]
 
 
 def cut_equal(left: RationalTree, right: RationalTree, depth: int) -> bool:

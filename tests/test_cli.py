@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +267,12 @@ class TestMain:
             tmp_path, "cr.ceq", "signature u:2\nparams y\neq x = u(y, x)\n"
         )
         assert main(["-k", "6", "equal", left, right, "--pres", pres]) == 0
+        assert capsys.readouterr().out == "equal up to depth 6\n"
+        # all depths share one saturation: cost grows linearly in -k
+        started = time.perf_counter()
+        assert main(["-k", "1100", "equal", left, right, "--pres", pres]) == 0
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().out == "equal up to depth 1100\n"
 
     def test_witness_command(self, capsys):
         assert main(["-k", "10", "witness", "sigma:2"]) == 0

@@ -1,10 +1,16 @@
-import pytest
+import itertools
 
-from corec.core import BOTTOM, ParamLeaf, Signature, flat, op
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from corec.core import BOTTOM, ParamLeaf, Signature, flat, op, tree_params
 from corec.errors import SignatureMismatch, SizeLimitExceeded
 from corec.presentation import (
     Presentation,
     Verdict3,
+    _UnionFind,
+    _axiom_variables,
+    _fold_tree,
     is_reduced,
     kernel_equal,
     make_constants_explicit,
@@ -304,12 +310,21 @@ class TestTreeEquivBounded:
         assert tree_equiv_bounded(blind, op("sigma", a, b), op("c")).is_equal
         assert tree_equiv_bounded(blind, op("sigma", a, b), op("sigma", b, a)).is_equal
 
+    def test_arity_conflict_is_signature_mismatch(self):
+        sig = Signature((("f", 2),))
+        left = RationalTree(sig, (OpStep("f", (0, 1)), LeafStep("y")), 0)
+        right = RationalTree(sig, (OpStep("f", (1, 0)), LeafStep("y")), 0)
+        wider = Presentation(
+            Signature((("f", 3),)), ((flat("f", "p", "q", "r"), flat("f", "q", "r", "p")),)
+        )
+        with pytest.raises(SignatureMismatch):
+            tree_equiv_bounded(wider, cut(left, 2), cut(right, 2))
+
     def test_equal_sound_for_models(self):
         # every Equal verdict must evaluate identically in a satisfying model
         import itertools as it
 
         from corec.core import enumerate_flat_terms
-        from corec.presentation import _eval_tree_in_model
 
         leaves = [ParamLeaf("a"), ParamLeaf("b")]
         pool = list(leaves)
@@ -323,8 +338,8 @@ class TestTreeEquivBounded:
                 continue
             for env_values in it.product(JOIN3.carrier, repeat=2):
                 env = dict(zip(["a", "b"], env_values))
-                assert _eval_tree_in_model(JOIN3, left, env) == _eval_tree_in_model(
-                    JOIN3, right, env
+                assert _fold_tree(left, env.__getitem__, JOIN3.apply) == _fold_tree(
+                    right, env.__getitem__, JOIN3.apply
                 )
 
 
@@ -410,3 +425,233 @@ class TestVerdict3:
         assert Verdict3.equal().is_equal
         assert Verdict3.distinct("w").witness == "w"
         assert Verdict3.unknown(5).budget_used == 5
+
+    def test_rational_verdicts_record_depth(self):
+        left = RationalTree(SIG_US, (OpStep("u", (0, 1)), LeafStep("a")), 0)
+        right = RationalTree(SIG_US, (OpStep("u", (1, 0)), LeafStep("a")), 0)
+        assert rtree_equiv_upto(COMM, left, right, 7).depth == 7
+        spine = RationalTree(SIG_US, (OpStep("u", (0, 1)), OpStep("s", (1,))), 0)
+        unknown = rtree_equiv_upto(SEMILATTICE, left, spine, 3)
+        assert unknown.is_unknown and unknown.depth == 3
+        assert tree_equiv_bounded(COMM, cut(left, 2), cut(right, 2)).depth is None
+
+
+# --- the per-level comparison that one joint saturation replaced -------------
+
+
+class _RescanDag(_UnionFind):
+    """Hash-consed dag whose congruence closure rescans every node until stable."""
+
+    def __init__(self):
+        super().__init__()
+        self.kind, self.label, self.kids, self.memo = [], [], [], {}
+
+    def _node(self, kind, label, kids):
+        key = (kind, label, kids)
+        if key not in self.memo:
+            self.kind.append(kind)
+            self.label.append(label)
+            self.kids.append(kids)
+            self.memo[key] = self.add()
+        return self.memo[key]
+
+    def intern(self, tree):
+        return _fold_tree(tree, lambda n: self._node("leaf", n, ()), lambda f, k: self._node("op", f, k))
+
+    def close_congruence(self):
+        while True:
+            changed = False
+            table = {}
+            for i in range(len(self.kind)):
+                if self.kind[i] != "op":
+                    continue
+                key = (self.label[i], tuple(self.find(c) for c in self.kids[i]))
+                prev = table.get(key)
+                if prev is None:
+                    table[key] = i
+                elif self.union(prev, i):
+                    changed = True
+            if not changed:
+                return
+
+
+def _model_refutation_oracle(models, left, right, budget):
+    labels = sorted(tree_params(left) | tree_params(right))
+    checked = 0
+    for index, model in enumerate(models):
+        for combo in itertools.product(list(model.carrier), repeat=len(labels)):
+            checked += 1
+            if checked > budget:
+                return None
+            env = dict(zip(labels, combo))
+            lv = _fold_tree(left, env.__getitem__, model.apply)
+            rv = _fold_tree(right, env.__getitem__, model.apply)
+            if lv != rv:
+                return {"model": index, "valuation": env, "values": (lv, rv)}
+    return None
+
+
+def _tree_equiv_oracle(presentation, left, right, budget, models):
+    witness = _model_refutation_oracle(models, left, right, budget)
+    if witness is not None:
+        return Verdict3.distinct(witness)
+    dag = _RescanDag()
+    left_id, right_id = dag.intern(left), dag.intern(right)
+    if not presentation.axioms:
+        if left_id == right_id:
+            return Verdict3.equal()
+        return Verdict3.distinct({"reason": "no axioms; trees differ syntactically"})
+    dag._node("leaf", BOTTOM, ())
+    directed = [d for l, r in presentation.axioms for d in ((l, r), (r, l))]
+    spent = 0
+    while True:
+        dag.close_congruence()
+        if dag.find(left_id) == dag.find(right_id):
+            return Verdict3.equal()
+        class_nodes = sorted({dag.find(i) for i in range(len(dag.kind))})
+        progress = False
+        node_count = len(dag.kind)
+        for src, dst in directed:
+            fresh_vars = [v for v in _axiom_variables(dst, dst) if v not in set(src.args)]
+            for node in range(node_count):
+                if dag.kind[node] != "op" or dag.label[node] != src.head:
+                    continue
+                assignment = {}
+                ok = True
+                for pos, var in enumerate(src.args):
+                    child = dag.kids[node][pos]
+                    if var in assignment:
+                        if dag.find(assignment[var]) != dag.find(child):
+                            ok = False
+                            break
+                    else:
+                        assignment[var] = child
+                if not ok:
+                    continue
+                for combo in itertools.product(class_nodes, repeat=len(fresh_vars)):
+                    env = dict(assignment)
+                    env.update(zip(fresh_vars, combo))
+                    instance = dag._node("op", dst.head, tuple(env[v] for v in dst.args))
+                    if dag.union(node, instance):
+                        progress = True
+                        spent += 1
+                        if spent > budget:
+                            return Verdict3.unknown(spent)
+        if not progress:
+            dag.close_congruence()
+            if dag.find(left_id) == dag.find(right_id):
+                return Verdict3.equal()
+            return Verdict3.unknown(spent)
+
+
+def _equiv_upto_oracle(presentation, left, right, depth, budget, models):
+    unknown = None
+    for level in range(1, depth + 1):
+        verdict = _tree_equiv_oracle(presentation, cut(left, level), cut(right, level), budget, models)
+        if verdict.is_distinct:
+            return Verdict3.distinct({"level": level, "witness": verdict.witness})
+        if verdict.is_unknown:
+            unknown = verdict
+    return unknown if unknown is not None else Verdict3.equal()
+
+
+SIG_UST = Signature((("u", 2), ("s", 1), ("t", 3)))
+AXIOMS_UST = (
+    (flat("u", "p", "q"), flat("u", "q", "p")),
+    (flat("u", "p", "p"), flat("s", "p")),
+    (flat("t", "p", "q", "r"), flat("t", "q", "r", "p")),
+    (flat("u", "p", "q"), flat("s", "p")),  # q on one side only
+)
+
+
+@st.composite
+def ust_steps(draw):
+    arity = {"u": 2, "s": 1, "t": 3}
+    n = draw(st.integers(1, 5))
+    steps = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["u", "s", "t", "y", "z"]))
+        if kind in arity:
+            steps.append(OpStep(kind, tuple(draw(st.integers(0, n - 1)) for _ in range(arity[kind]))))
+        else:
+            steps.append(LeafStep(kind))
+    return steps
+
+
+@st.composite
+def ust_pairs(draw):
+    """Two small rational trees over u:2 s:1 t:3; the second often an axiom-shuffled copy."""
+    steps = draw(ust_steps())
+    other = draw(ust_steps())
+    if draw(st.booleans()):
+        other = []
+        for step in steps:
+            if isinstance(step, OpStep) and draw(st.booleans()):
+                kids = step.children
+                if step.symbol == "s":
+                    step = OpStep("u", kids * 2)
+                else:
+                    k = draw(st.integers(1, len(kids) - 1))
+                    step = OpStep(step.symbol, kids[k:] + kids[:k])
+            other.append(step)
+    return RationalTree(SIG_UST, tuple(steps), 0), RationalTree(SIG_UST, tuple(other), 0)
+
+
+@st.composite
+def two_element_models(draw, presentation):
+    """Up to two random algebras on {0, 1}; those that violate an axiom are dropped."""
+    models = []
+    for _ in range(draw(st.integers(0, 2))):
+        tables = {
+            name: {args: draw(st.sampled_from((0, 1))) for args in itertools.product((0, 1), repeat=a)}
+            for name, a in SIG_UST.symbols
+        }
+        model = FiniteAlgebra(SIG_UST, (0, 1), tables)
+        if satisfies_presentation(model, presentation):
+            models.append(model)
+    return models
+
+
+class TestJointSaturation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ust_pairs(),
+        st.lists(st.sampled_from(AXIOMS_UST), unique=True, max_size=3),
+        st.integers(1, 6),
+        st.sampled_from((3, 40, 10**6)),
+        st.data(),
+    )
+    def test_matches_per_level_oracle(self, pair, axioms, depth, budget, data):
+        left, right = pair
+        presentation = Presentation(SIG_UST, tuple(axioms))
+        models = data.draw(two_element_models(presentation))
+        for level in range(1, depth + 1):  # one goal pair: byte-identical to the old loop
+            cuts = cut(left, level), cut(right, level)
+            assert tree_equiv_bounded(presentation, *cuts, budget, models) == _tree_equiv_oracle(
+                presentation, *cuts, budget, models
+            )
+        old = _equiv_upto_oracle(presentation, left, right, depth, budget, models)
+        new = rtree_equiv_upto(presentation, left, right, depth, budget, models)
+        event(f"{old.status} -> {new.status}")
+        if old.is_distinct or new.is_distinct:
+            assert new == old
+            return
+        assert new.depth == depth
+        if old.is_equal:
+            assert new.is_equal or new.budget_used > budget
+
+    def test_one_dag_per_comparison(self, monkeypatch):
+        import corec.presentation
+
+        made = []
+
+        class CountedDag(corec.presentation._TreeDag):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(corec.presentation, "_TreeDag", CountedDag)
+        left = RationalTree(SIG_US, (OpStep("u", (0, 1)), LeafStep("a")), 0)
+        right = RationalTree(SIG_US, (OpStep("u", (1, 0)), LeafStep("a")), 0)
+        assert rtree_equiv_upto(COMM, left, right, 20).is_equal
+        assert len(made) == 1

@@ -45,6 +45,27 @@ def a_loop(sig=SIG_A, symbol="a"):
     return RationalTree(sig, (OpStep(symbol, (0,)),), 0)
 
 
+class TestValidation:
+    """Construction checks the steps the root reaches and drops the rest unchecked."""
+
+    BAD_STEPS = (
+        OpStep("sigma", (0,)),  # wrong arity
+        OpStep("sigma", (0, 7)),  # missing child
+        OpStep("sigma", (0, -1)),  # negative child
+        "not a step",
+    )
+
+    def test_bad_reachable_state_raises(self):
+        for bad in self.BAD_STEPS:
+            with pytest.raises((ArityMismatch, ValueError)):
+                RationalTree(SIG_BIN, (OpStep("sigma", (1, 1)), bad), 0)
+
+    def test_bad_unreachable_state_is_pruned(self):
+        for bad in self.BAD_STEPS:
+            t = RationalTree(SIG_BIN, (OpStep("sigma", (0, 2)), bad, LeafStep("y")), 0)
+            assert t == spine()
+
+
 class TestLeaf:
     def test_cut_is_leaf(self):
         t = leaf(SIG_BIN, "y")

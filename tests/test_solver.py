@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -651,6 +652,20 @@ class TestRefineOnce:
         refinements.clear()
         assert is_tree_solution(e, sol)
         assert len(refinements) == 1
+
+
+class TestManySmallTrees:
+    def test_solve_validates_only_reachable_states(self):
+        # x_i = sigma(x_i, p_i): each tree has 2 states of a 4000-state system;
+        # validating every state for every tree took seconds
+        n = 2000
+        xs = tuple(f"x{i}" for i in range(n))
+        ps = tuple(f"p{i}" for i in range(n))
+        rhs = {x: FlatTerm("sigma", (Var(x), Param(p))) for x, p in zip(xs, ps)}
+        started = time.perf_counter()
+        sol = solve(EquationSystem(SIG_BIN, xs, ps, rhs))
+        assert time.perf_counter() - started < 1.0
+        assert sol["x7"] == RationalTree(SIG_BIN, (OpStep("sigma", (0, 1)), LeafStep("p7")), 0)
 
 
 class TestMinimalAsBuilt:
