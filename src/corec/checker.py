@@ -27,6 +27,7 @@ from .errors import (
     ParameterMismatch,
     SignatureMismatch,
     SizeLimitExceeded,
+    UndeclaredName,
 )
 from .presentation import Presentation, Verdict3, _axiom_variables, rtree_equiv_upto
 from .rtree import INFINITE, LeafStep, RationalTree, _levels, count_param_leaves
@@ -109,6 +110,11 @@ def count_solutions(
 ) -> tuple[int, list[dict[str, object]]]:
     """Count the maps from variables to the carrier satisfying every equation."""
     valuation = dict(valuation or {})
+    for y in system.parameters:
+        if y not in valuation:
+            raise UndeclaredName(f"no interpretation for parameter {y!r}")
+        if valuation[y] not in algebra.carrier:
+            raise ValueError(f"value for parameter {y!r} is not in the carrier")
     variables = system.variables
     total = len(algebra.carrier) ** len(variables)
     if budget is not None and total > budget:
@@ -146,58 +152,37 @@ class CheckVerdict:
     max_vars: int
 
 
-def _fast_options(algebra: FiniteAlgebra, var_count: int, param_targets: Sequence[int]):
-    """Right-hand-side candidates over carrier indices, tagged for fast eval.
+def _options(algebra: FiniteAlgebra, var_count: int, with_params: bool) -> list:
+    """Every flat right-hand side over x1..x{var_count}: (symbol, table, argument variables).
 
-    Tags: ("u", table, j) unary symbol applied to variable j; ("k", v) a
-    fixed target (constant symbol or parameter); ("g", table, idxs) the
-    general case.  A parallel list records how to rebuild the witness rhs.
+    Tables map carrier-index tuples to a carrier index.  A parameter naming
+    element t is (None, {(): t}, ()); the parameters come after the symbols.
     """
     n = len(algebra.carrier)
     to_index = {c: i for i, c in enumerate(algebra.carrier)}
-    evals = []
-    builders = []
+    options = []
     for name, arity in algebra.signature.symbols:
-        if arity == 1:
-            table = tuple(
-                to_index[algebra.apply(name, (algebra.carrier[i],))] for i in range(n)
-            )
-            for j in range(var_count):
-                evals.append(("u", table, j))
-                builders.append(("op", name, (j,)))
-        elif arity == 0:
-            value = to_index[algebra.apply(name, ())]
-            evals.append(("k", value))
-            builders.append(("op", name, ()))
-        else:
-            table = {
-                idx: to_index[algebra.apply(name, tuple(algebra.carrier[i] for i in idx))]
-                for idx in itertools.product(range(n), repeat=arity)
-            }
-            for idxs in itertools.product(range(var_count), repeat=arity):
-                evals.append(("g", table, idxs))
-                builders.append(("op", name, idxs))
-    for target in param_targets:
-        evals.append(("k", target))
-        builders.append(("param", target))
-    return evals, builders
+        table = {
+            idx: to_index[algebra.apply(name, tuple(algebra.carrier[i] for i in idx))]
+            for idx in itertools.product(range(n), repeat=arity)
+        }
+        for args in itertools.product(range(var_count), repeat=arity):
+            options.append((name, table, args))
+    if with_params:
+        options.extend((None, {(): t}, ()) for t in range(n))
+    return options
 
 
-def _witness_system(
-    algebra: FiniteAlgebra, builders, combo, var_count: int
-) -> tuple[EquationSystem, dict]:
-    names = [f"x{i + 1}" for i in range(var_count)]
+def _witness_system(algebra: FiniteAlgebra, options, combo) -> tuple[EquationSystem, dict]:
+    names = [f"x{i + 1}" for i in range(len(combo))]
     param_names = {}
     rhs: dict = {}
     for i, choice in enumerate(combo):
-        kind, *rest = builders[choice]
-        if kind == "op":
-            sym, idxs = rest
-            rhs[names[i]] = FlatTerm(sym, tuple(Var(names[j]) for j in idxs))
+        sym, table, args = options[choice]
+        if sym is None:
+            rhs[names[i]] = Param(param_names.setdefault(table[()], f"p{table[()]}"))
         else:
-            target = rest[0]
-            pname = param_names.setdefault(target, f"p{target}")
-            rhs[names[i]] = Param(pname)
+            rhs[names[i]] = FlatTerm(sym, tuple(Var(names[j]) for j in args))
     params = tuple(param_names[t] for t in sorted(param_names))
     valuation = {param_names[t]: algebra.carrier[t] for t in param_names}
     system = EquationSystem(algebra.signature, tuple(names), params, rhs)
@@ -213,33 +198,26 @@ def _uniqueness_sweep(
     n = len(algebra.carrier)
     work = 0
     for m in range(1, max_vars + 1):
-        param_targets = range(n) if with_params else ()
-        evals, builders = _fast_options(algebra, m, param_targets)
-        systems = len(evals) ** m
-        work += systems * (n**m)
+        options = _options(algebra, m, with_params)
+        work += len(options) ** m * n**m
         if budget is not None and work > budget:
             raise SizeLimitExceeded(f"sweep needs {work} steps, budget is {budget}")
-        assignments = list(itertools.product(range(n), repeat=m))
-        for combo in itertools.product(range(len(evals)), repeat=m):
-            chosen = [evals[c] for c in combo]
-            count = 0
-            for assign in assignments:
+        # Bit k of masks[i][c]: assignment k (in product order) gives variable
+        # i the value of option c.  A system's solutions are one AND per variable.
+        masks = [[0] * len(options) for _ in range(m)]
+        for k, assign in enumerate(itertools.product(range(n), repeat=m)):
+            for c, (_, table, args) in enumerate(options):
+                value = table[tuple(assign[j] for j in args)]
                 for i in range(m):
-                    option = chosen[i]
-                    tag = option[0]
-                    if tag == "u":
-                        if assign[i] != option[1][assign[option[2]]]:
-                            break
-                    elif tag == "k":
-                        if assign[i] != option[1]:
-                            break
-                    else:
-                        if assign[i] != option[1][tuple(assign[j] for j in option[2])]:
-                            break
-                else:
-                    count += 1
+                    if assign[i] == value:
+                        masks[i][c] |= 1 << k
+        for combo in itertools.product(range(len(options)), repeat=m):
+            solutions = -1  # every assignment
+            for row, c in zip(masks, combo):
+                solutions &= row[c]
+            count = solutions.bit_count()
             if count != 1:
-                system, valuation = _witness_system(algebra, builders, combo, m)
+                system, valuation = _witness_system(algebra, options, combo)
                 return CheckVerdict(False, system, valuation, count, max_vars)
     return CheckVerdict(True, None, None, None, max_vars)
 

@@ -46,9 +46,6 @@ class Signature:
         )
         validate_signature(self)
         object.__setattr__(self, "_arities", dict(self.symbols))
-        object.__setattr__(
-            self, "_order", {n: i for i, (n, _) in enumerate(self.symbols)}
-        )
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.symbols)
@@ -56,12 +53,6 @@ class Signature:
     def arity(self, name: str) -> int:
         try:
             return self._arities[name]
-        except KeyError:
-            raise UndeclaredName(f"unknown operation symbol {name!r}") from None
-
-    def index(self, name: str) -> int:
-        try:
-            return self._order[name]
         except KeyError:
             raise UndeclaredName(f"unknown operation symbol {name!r}") from None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     BOTTOM,
@@ -160,9 +160,7 @@ def _default_probe(signature: Signature) -> int:
 
 
 def is_reduced(
-    presentation: Presentation,
-    probe_size: int | None = None,
-    budget: int | None = DEFAULT_BUDGET,
+    presentation: Presentation, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[bool, tuple[FlatTerm, FlatTerm] | None]:
     """Check reducedness on a probe atom set; returns the first violation found.
 
@@ -172,12 +170,8 @@ def is_reduced(
     arity is enough because any single violating pair fits in that many
     atoms.
     """
-    needed = _default_probe(presentation.signature)
-    if probe_size is None:
-        probe_size = needed
-    elif probe_size < needed:
-        raise ValueError(f"probe_size must be at least {needed}")
-    part = _KernelPartition(presentation, range(probe_size), budget)
+    probe = _default_probe(presentation.signature)
+    part = _KernelPartition(presentation, range(probe), budget)
     for cls in part.classes():
         for left, right in itertools.permutations(cls, 2):
             left_distinct = len(set(left.args)) == len(left.args)
@@ -222,11 +216,6 @@ def _essential_coordinates(
     return out
 
 
-def _translate_term(term: FlatTerm, keep: Mapping[str, tuple[int, ...]]) -> FlatTerm:
-    positions = keep[term.head]
-    return FlatTerm(term.head, tuple(term.args[i] for i in positions))
-
-
 def _cleanup_axioms(
     axioms: Iterable[tuple[FlatTerm, FlatTerm]]
 ) -> tuple[tuple[FlatTerm, FlatTerm], ...]:
@@ -246,21 +235,30 @@ def _cleanup_axioms(
 Translation = dict[str, tuple[str, tuple[int, ...]]]
 
 
-def _drop_inessential(
-    presentation: Presentation, translation: Translation, budget: int | None
+def _identity(signature: Signature) -> Translation:
+    return {n: (n, tuple(range(a))) for n, a in signature.symbols}
+
+
+def _rename(
+    presentation: Presentation, translation: Translation, moves: Translation
 ) -> tuple[Presentation, Translation]:
-    keep = _essential_coordinates(presentation, budget)
-    if all(len(keep[n]) == a for n, a in presentation.signature.symbols):
-        return presentation, translation
+    """Rewrite the signature, the axioms and the translation along moves.
+
+    moves sends each symbol to (target, positions): a term f(a0, ..., ak)
+    becomes target(a_p for p in positions).  The symbols that move to
+    themselves stay, with len(positions) arguments.
+    """
+
+    def move(term: FlatTerm) -> FlatTerm:
+        target, positions = moves[term.head]
+        return FlatTerm(target, tuple(term.args[i] for i in positions))
+
     new_sig = Signature(
-        tuple((n, len(keep[n])) for n, _ in presentation.signature.symbols)
+        tuple((n, len(moves[n][1])) for n, _ in presentation.signature.symbols if moves[n][0] == n)
     )
-    new_axioms = _cleanup_axioms(
-        (_translate_term(l, keep), _translate_term(r, keep))
-        for l, r in presentation.axioms
-    )
+    new_axioms = _cleanup_axioms((move(l), move(r)) for l, r in presentation.axioms)
     new_translation = {
-        orig: (cur, tuple(emb[i] for i in keep[cur]))
+        orig: (moves[cur][0], tuple(emb[i] for i in moves[cur][1]))
         for orig, (cur, emb) in translation.items()
     }
     return Presentation(new_sig, new_axioms), new_translation
@@ -286,33 +284,6 @@ def _find_merge(
     return None
 
 
-def _apply_merge(
-    presentation: Presentation,
-    translation: Translation,
-    drop_name: str,
-    keep_name: str,
-    perm: tuple[int, ...],
-) -> tuple[Presentation, Translation]:
-    def rewrite(term: FlatTerm) -> FlatTerm:
-        if term.head != drop_name:
-            return term
-        return FlatTerm(keep_name, tuple(term.args[i] for i in perm))
-
-    new_sig = Signature(
-        tuple((n, a) for n, a in presentation.signature.symbols if n != drop_name)
-    )
-    new_axioms = _cleanup_axioms(
-        (rewrite(l), rewrite(r)) for l, r in presentation.axioms
-    )
-    new_translation = {}
-    for orig, (cur, emb) in translation.items():
-        if cur == drop_name:
-            new_translation[orig] = (keep_name, tuple(emb[i] for i in perm))
-        else:
-            new_translation[orig] = (cur, emb)
-    return Presentation(new_sig, new_axioms), new_translation
-
-
 def reduce_presentation(
     presentation: Presentation, budget: int | None = DEFAULT_BUDGET
 ) -> tuple[Presentation, Translation]:
@@ -330,18 +301,22 @@ def reduce_presentation(
     indices); synthesized constants appear under their own names.
     """
     presentation = make_constants_explicit(presentation, budget)
-    translation: Translation = {
-        n: (n, tuple(range(a))) for n, a in presentation.signature.symbols
-    }
+    translation = _identity(presentation.signature)
     current = presentation
     for _ in range(len(presentation.signature.symbols) + 1):
-        current, translation = _drop_inessential(current, translation, budget)
+        keep = _essential_coordinates(current, budget)
+        if any(len(keep[n]) != a for n, a in current.signature.symbols):
+            moves = {n: (n, positions) for n, positions in keep.items()}
+            current, translation = _rename(current, translation, moves)
         merged = False
         while True:
             found = _find_merge(current, budget)
             if found is None:
                 break
-            current, translation = _apply_merge(current, translation, *found)
+            drop_name, keep_name, perm = found
+            moves = _identity(current.signature)
+            moves[drop_name] = (keep_name, perm)
+            current, translation = _rename(current, translation, moves)
             merged = True
         if not merged:
             break

@@ -1,10 +1,18 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corec.core import EquationSystem, FlatTerm, Param, Signature, Var, flat
-from corec.errors import NoLargeAritySymbol, SignatureMismatch, SizeLimitExceeded
+from corec.errors import (
+    NoLargeAritySymbol,
+    SignatureMismatch,
+    SizeLimitExceeded,
+    UndeclaredName,
+)
 from corec.checker import (
+    CheckVerdict,
     FiniteAlgebra,
     anchor_correspondence,
     check_rewrite_invariance,
@@ -96,6 +104,18 @@ class TestCountSolutions:
         count, sols = count_solutions(IDENTITY_ACTION, e, {"p": 0})
         assert count == 1 and sols[0] == {"x": 0}
 
+    def test_missing_parameter_value(self):
+        e = system(SIG_A, {"x": FlatTerm("a", (Param("p"),))}, params=("p",))
+        with pytest.raises(UndeclaredName):
+            count_solutions(IDENTITY_ACTION, e, {})
+
+    def test_parameter_value_outside_carrier(self):
+        as_argument = system(SIG_A, {"x": FlatTerm("a", (Param("p"),))}, params=("p",))
+        as_rhs = system(SIG_A, {"x": Param("p")}, params=("p",))
+        for e in (as_argument, as_rhs):
+            with pytest.raises(ValueError, match="not in the carrier"):
+                count_solutions(IDENTITY_ACTION, e, {"p": "zzz"})
+
     def test_budget(self):
         names = tuple(f"x{i}" for i in range(30))
         e = EquationSystem(
@@ -137,6 +157,121 @@ class TestIsCorecursive:
     def test_failure_is_monotone_in_bound(self):
         for bound in (1, 2, 3):
             assert not is_corecursive(IDENTITY_ACTION, bound).holds
+
+
+def _sweep_oracle(algebra, max_vars, with_params, budget):
+    """The tagged per-assignment sweep that the bitmask count replaced."""
+    n = len(algebra.carrier)
+    to_index = {c: i for i, c in enumerate(algebra.carrier)}
+    work = 0
+    for m in range(1, max_vars + 1):
+        # ("u", table, j) unary symbol on variable j; ("k", v) a fixed target
+        # (constant symbol or parameter); ("g", table, idxs) the general case
+        evals, builders = [], []
+        for name, arity in algebra.signature.symbols:
+            if arity == 1:
+                table = tuple(
+                    to_index[algebra.apply(name, (algebra.carrier[i],))] for i in range(n)
+                )
+                for j in range(m):
+                    evals.append(("u", table, j))
+                    builders.append((name, (j,)))
+            elif arity == 0:
+                evals.append(("k", to_index[algebra.apply(name, ())]))
+                builders.append((name, ()))
+            else:
+                table = {
+                    idx: to_index[algebra.apply(name, tuple(algebra.carrier[i] for i in idx))]
+                    for idx in itertools.product(range(n), repeat=arity)
+                }
+                for idxs in itertools.product(range(m), repeat=arity):
+                    evals.append(("g", table, idxs))
+                    builders.append((name, idxs))
+        for target in range(n) if with_params else ():
+            evals.append(("k", target))
+            builders.append((None, target))
+        work += len(evals) ** m * (n**m)
+        if budget is not None and work > budget:
+            raise SizeLimitExceeded(f"sweep needs {work} steps, budget is {budget}")
+        assignments = list(itertools.product(range(n), repeat=m))
+        for combo in itertools.product(range(len(evals)), repeat=m):
+            count = 0
+            for assign in assignments:
+                for i in range(m):
+                    option = evals[combo[i]]
+                    if option[0] == "u":
+                        expected = option[1][assign[option[2]]]
+                    elif option[0] == "k":
+                        expected = option[1]
+                    else:
+                        expected = option[1][tuple(assign[j] for j in option[2])]
+                    if assign[i] != expected:
+                        break
+                else:
+                    count += 1
+            if count != 1:
+                names = [f"x{i + 1}" for i in range(m)]
+                rhs, param_names = {}, {}
+                for i, c in enumerate(combo):
+                    sym, rest = builders[c]
+                    if sym is None:
+                        rhs[names[i]] = Param(param_names.setdefault(rest, f"p{rest}"))
+                    else:
+                        rhs[names[i]] = FlatTerm(sym, tuple(Var(names[j]) for j in rest))
+                params = tuple(param_names[t] for t in sorted(param_names))
+                valuation = {param_names[t]: algebra.carrier[t] for t in param_names}
+                witness = EquationSystem(algebra.signature, tuple(names), params, rhs)
+                return CheckVerdict(False, witness, valuation, count, max_vars)
+    return CheckVerdict(True, None, None, None, max_vars)
+
+
+@st.composite
+def finite_algebras(draw):
+    n = draw(st.integers(1, 3))
+    carrier = tuple("abc"[:n])
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    sig = Signature(tuple((f"f{i}", a) for i, a in enumerate(arities)))
+    tables = {
+        name: {
+            args: draw(st.sampled_from(carrier))
+            for args in itertools.product(carrier, repeat=arity)
+        }
+        for name, arity in sig.symbols
+    }
+    return FiniteAlgebra(sig, carrier, tables)
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except SizeLimitExceeded as exc:
+        return str(exc)
+
+
+class TestSweepMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        finite_algebras(),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(1, 20000),
+    )
+    def test_same_verdict_and_budget_message(self, algebra, max_vars, cia, budget):
+        sweep = is_cia if cia else is_corecursive
+        got = _outcome(sweep, algebra, max_vars, budget)
+        assert got == _outcome(_sweep_oracle, algebra, max_vars, cia, budget)
+        if isinstance(got, CheckVerdict) and not got.holds:
+            count, _ = count_solutions(algebra, got.witness, got.witness_valuation)
+            assert count == got.solution_count
+
+    def test_constant_unary_algebra_at_five_variables(self):
+        # 8 options and 243 assignments per variable at m = 5: 8.16 M steps
+        # of the per-assignment loop, a few thousand mask updates here
+        algebra = unary_algebra(SIG_A, (0, 1, 2), {"a": {0: 0, 1: 0, 2: 0}})
+        started = time.perf_counter()
+        verdict = is_cia(algebra, 5, budget=None)
+        assert time.perf_counter() - started < 0.5
+        assert verdict.holds
 
 
 class TestIsCia:

@@ -142,10 +142,6 @@ class TestIsReduced:
         ok, _ = is_reduced(Presentation(SIG_US, ()))
         assert ok
 
-    def test_probe_too_small(self):
-        with pytest.raises(ValueError):
-            is_reduced(SEMILATTICE, probe_size=1)
-
     def test_distinct_constants_not_reduced(self):
         sig = Signature((("c", 0), ("d", 0)))
         p = Presentation(sig, ((flat("c"), flat("d")),))
