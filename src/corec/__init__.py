@@ -54,6 +54,7 @@ from .solver import (
     is_tree_solution,
     solve,
     solve_anchored,
+    solve_at,
     solve_decomposed,
     tree_to_system,
 )

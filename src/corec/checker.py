@@ -31,7 +31,7 @@ from .errors import (
 )
 from .presentation import Presentation, Verdict3, _axiom_variables, rtree_equiv_upto
 from .rtree import INFINITE, LeafStep, RationalTree, _levels, count_param_leaves
-from .solver import anchors, classify, solve, solve_anchored
+from .solver import anchors, classify, solve, solve_anchored, solve_at
 
 
 @dataclass(frozen=True)
@@ -325,7 +325,7 @@ def witness_non_cia(signature: Signature, depth: int) -> SpineWitness:
     for i in range(1, arity):
         rhs[variables[i]] = Param(parameters[i - 1])
     system = EquationSystem(signature, variables, parameters, rhs)
-    tree = solve(system)[variables[0]]
+    tree = solve_at(system, variables[0])
 
     target = LeafStep(parameters[0])
     all_levels = all(

@@ -49,6 +49,7 @@ from .solver import (
     classify,
     fold_constants,
     solve,
+    solve_at,
     solve_decomposed,
 )
 
@@ -573,19 +574,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _root_tree(path: str):
     system, root = parse_ceq_with_root(_read(path))
-    solution = solve(system)
     if root is None:
         if not system.variables:
             raise ParseError(f"{path} declares no equations")
         root = system.variables[0]
-    return solution[root]
+    return solve_at(system, root)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         budget = args.budget
         if budget is None:

@@ -157,23 +157,6 @@ def op(symbol: str, *children: FiniteTree) -> Op:
     return Op(symbol, tuple(children))
 
 
-def tree_params(tree: FiniteTree) -> set[str]:
-    """Parameter names occurring at the leaves, shared subtrees visited once."""
-    out: set[str] = set()
-    seen: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, ParamLeaf):
-            out.add(node.name)
-        else:
-            stack.extend(node.children)
-    return out
-
-
 @dataclass(frozen=True, eq=True)
 class EquationSystem:
     """A guarded recursive equation system: one flat right-hand side per variable.

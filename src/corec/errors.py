@@ -77,10 +77,8 @@ class IncompleteTable(CorecError):
 class ParseError(CorecError):
     """Malformed input text; carries a position when one is known."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
         if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)

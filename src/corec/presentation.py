@@ -185,20 +185,18 @@ def is_reduced(
     return True, None
 
 
-def _essential_coordinates(
-    presentation: Presentation, budget: int | None
-) -> dict[str, tuple[int, ...]]:
-    """Per symbol, the argument positions whose value the kernel can observe.
+def _essential_coordinates(presentation: Presentation, budget: int | None) -> Translation:
+    """Moves keeping each symbol with the argument positions the kernel can observe.
 
     Coordinate i is inessential when replacing it by a fresh atom stays in
     the same kernel class; those positions can be dropped without changing
     the presented functor.
     """
     cache: dict[int, _KernelPartition] = {}
-    out: dict[str, tuple[int, ...]] = {}
+    out: Translation = {}
     for name, arity in presentation.signature.symbols:
         if arity == 0:
-            out[name] = ()
+            out[name] = (name, ())
             continue
         part = cache.get(arity + 1)
         if part is None:
@@ -212,7 +210,7 @@ def _essential_coordinates(
             )
             if not part.same(base, variant):
                 keep.append(i)
-        out[name] = tuple(keep)
+        out[name] = (name, tuple(keep))
     return out
 
 
@@ -264,24 +262,33 @@ def _rename(
     return Presentation(new_sig, new_axioms), new_translation
 
 
-def _find_merge(
-    presentation: Presentation, budget: int | None
-) -> tuple[str, str, tuple[int, ...]] | None:
-    """A pair of distinct symbols the kernel identifies up to an argument permutation."""
+def _merges(presentation: Presentation, budget: int | None) -> Translation:
+    """Moves sending each symbol to the least name the kernel identifies it with.
+
+    Identification up to a permutation of pairwise distinct arguments is an
+    equivalence, so one walk over the names in sorted order meets each
+    class's least name first; every later member moves to it along the
+    first permutation, in ``itertools.permutations`` order, that fits.
+    """
     sig = presentation.signature
-    probe = max(_default_probe(sig), 1)
-    part = _KernelPartition(presentation, range(probe), budget)
-    by_arity: dict[int, list[str]] = {}
-    for name, arity in sig.symbols:
-        by_arity.setdefault(arity, []).append(name)
-    for arity, names in sorted(by_arity.items()):
-        for keep_name, drop_name in itertools.combinations(sorted(names), 2):
-            base = FlatTerm(drop_name, tuple(range(arity)))
-            for perm in itertools.permutations(range(arity)):
-                other = FlatTerm(keep_name, perm)
-                if part.same(base, other):
-                    return drop_name, keep_name, perm
-    return None
+    part = _KernelPartition(presentation, range(max(_default_probe(sig), 1)), budget)
+    least: dict[int, list[str]] = {}  # per arity, the names that stay, sorted
+    moves: Translation = {}
+    for name in sorted(sig.names()):
+        arity = sig.arity(name)
+        base = FlatTerm(name, tuple(range(arity)))
+        moves[name] = next(
+            (
+                (keep, perm)
+                for keep in least.get(arity, ())
+                for perm in itertools.permutations(range(arity))
+                if part.same(base, FlatTerm(keep, perm))
+            ),
+            (name, tuple(range(arity))),
+        )
+        if moves[name][0] == name:
+            least.setdefault(arity, []).append(name)
+    return moves
 
 
 def reduce_presentation(
@@ -293,33 +300,20 @@ def reduce_presentation(
     positions turn out inessential denotes a constant element, and without
     a constant linked to it by an axiom that element would be lost on the
     empty atom set when the positions are dropped.  Then every inessential
-    argument position is dropped, and symbol pairs the kernel relates by a
-    permutation of pairwise distinct arguments are merged repeatedly,
-    keeping the lexicographically least name of each merge class.  The
+    argument position is dropped, and every class of symbols the kernel
+    relates by a permutation of pairwise distinct arguments is merged into
+    its lexicographically least name.  Renaming along drops and merges
+    keeps the presented functor, so one pass of each is enough.  The
     returned translation sends each symbol to its surviving symbol plus
     the embedding of surviving argument positions (as original coordinate
     indices); synthesized constants appear under their own names.
     """
-    presentation = make_constants_explicit(presentation, budget)
-    translation = _identity(presentation.signature)
-    current = presentation
-    for _ in range(len(presentation.signature.symbols) + 1):
-        keep = _essential_coordinates(current, budget)
-        if any(len(keep[n]) != a for n, a in current.signature.symbols):
-            moves = {n: (n, positions) for n, positions in keep.items()}
+    current = make_constants_explicit(presentation, budget)
+    translation = _identity(current.signature)
+    for find_moves in (_essential_coordinates, _merges):
+        moves = find_moves(current, budget)
+        if moves != _identity(current.signature):
             current, translation = _rename(current, translation, moves)
-        merged = False
-        while True:
-            found = _find_merge(current, budget)
-            if found is None:
-                break
-            drop_name, keep_name, perm = found
-            moves = _identity(current.signature)
-            moves[drop_name] = (keep_name, perm)
-            current, translation = _rename(current, translation, moves)
-            merged = True
-        if not merged:
-            break
     return current, translation
 
 
@@ -412,9 +406,8 @@ class _TreeDag(_UnionFind):
 
     def __init__(self) -> None:
         super().__init__()
-        self.kind: list[str] = []
         self.label: list[str] = []
-        self.kids: list[tuple[int, ...]] = []
+        self.kids: list[tuple[int, ...] | None] = []  # None for a parameter leaf
         self.by_head: dict[str, list[int]] = {}  # op nodes per symbol, ascending
         self._memo: dict[tuple, int] = {}
         self._uses: list[list[int]] = []  # per class root
@@ -422,54 +415,39 @@ class _TreeDag(_UnionFind):
         self._queue: list[int] = []  # op nodes whose signature may have changed
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.label)
 
-    def _new(self, kind: str, label: str, kids: tuple[int, ...]) -> int:
-        self.kind.append(kind)
+    def node(self, label: str, kids: tuple[int, ...] | None) -> int:
+        """The one node with this label and children; ``kids=None`` makes a parameter leaf."""
+        key = (label, kids)
+        node = self._memo.get(key)
+        if node is not None:
+            return node
         self.label.append(label)
         self.kids.append(kids)
         self._uses.append([])
-        node = self.add()
-        if kind == "op":
+        node = self._memo[key] = self.add()
+        if kids is not None:
             self.by_head.setdefault(label, []).append(node)
             for c in kids:
                 self._uses[self.find(c)].append(node)
             self._queue.append(node)
         return node
 
-    def leaf(self, label: str) -> int:
-        key = ("leaf", label)
-        node = self._memo.get(key)
-        if node is None:
-            node = self._new("leaf", label, ())
-            self._memo[key] = node
-        return node
-
-    def op(self, symbol: str, kids: tuple[int, ...]) -> int:
-        key = ("op", symbol, kids)
-        node = self._memo.get(key)
-        if node is None:
-            node = self._new("op", symbol, kids)
-            self._memo[key] = node
-        return node
-
     def intern(self, tree: FiniteTree) -> int:
-        return _fold_tree(tree, self.leaf, self.op)
+        return _fold_tree(tree, lambda name: self.node(name, None), self.node)
 
     def truncations(self, tree: RationalTree, depth: int) -> list[int]:
         """Intern the truncations of a rational tree at depths 1..depth.
 
         One node per (state, remaining depth) pair serves every depth.
         """
-        return _truncate(tree, depth, self._make, every_depth=True)
-
-    def _make(self, label: str, kids: tuple[int, ...] | None) -> int:
-        return self.leaf(label) if kids is None else self.op(label, kids)
+        return _truncate(tree, depth, self.node, every_depth=True)
 
     def symbols(self) -> Iterable[tuple[str, int]]:
         """Each (symbol, number of children) of the op nodes once, in node order."""
         return dict.fromkeys(
-            (self.label[i], len(self.kids[i])) for i in range(len(self)) if self.kind[i] == "op"
+            (label, len(kids)) for label, kids in zip(self.label, self.kids) if kids is not None
         )
 
     def below(self, *roots: int) -> list[int]:
@@ -477,7 +455,7 @@ class _TreeDag(_UnionFind):
         seen = set(roots)
         stack = list(roots)
         while stack:
-            for c in self.kids[stack.pop()]:
+            for c in self.kids[stack.pop()] or ():
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
@@ -541,7 +519,7 @@ def _model_refutation(models: Sequence, dag: _TreeDag, left: int, right: int, bu
     if not models:
         return None
     nodes = dag.below(left, right)
-    labels = sorted({dag.label[n] for n in nodes if dag.kind[n] == "leaf"})
+    labels = sorted({dag.label[n] for n in nodes if dag.kids[n] is None})
     checked = 0
     for index, model in enumerate(models):
         carrier = list(model.carrier)
@@ -552,7 +530,7 @@ def _model_refutation(models: Sequence, dag: _TreeDag, left: int, right: int, bu
             env = dict(zip(labels, combo))
             value: dict[int, object] = {}
             for n in nodes:
-                if dag.kind[n] == "leaf":
+                if dag.kids[n] is None:
                     value[n] = env[dag.label[n]]
                 else:
                     value[n] = model.apply(dag.label[n], tuple([value[c] for c in dag.kids[n]]))
@@ -594,7 +572,7 @@ def _saturate(
     of budget; past the budget, or after a round with no merge, the answer
     is unknown.
     """
-    dag.leaf(BOTTOM)
+    dag.node(BOTTOM, None)
     directed = []
     for l, r in presentation.axioms:
         for src, dst in ((l, r), (r, l)):
@@ -627,7 +605,7 @@ def _saturate(
                     for combo in itertools.product(class_nodes, repeat=len(fresh)):
                         env = dict(assignment)
                         env.update(zip(fresh, combo))
-                        instance = dag.op(dst.head, tuple([env[v] for v in dst.args]))
+                        instance = dag.node(dst.head, tuple([env[v] for v in dst.args]))
                         if find(node) != find(instance):
                             dag.union(node, instance)
                             progress = True

@@ -32,7 +32,7 @@ from .rtree import (
     RationalTree,
     Step,
     from_lasso,
-    minimize,  # unused here; perfbench/tracing.py wraps solver.minimize by name
+    minimize,
     _quotient,
     _refine,
     _shifted,
@@ -77,6 +77,20 @@ def solve(system: EquationSystem) -> dict[str, RationalTree]:
     block = _refine(steps)
     quotient = _quotient(steps, block)
     return {x: RationalTree(system.signature, quotient, block[i]) for x, i in var_state.items()}
+
+
+def solve_at(system: EquationSystem, variable: str) -> RationalTree:
+    """The solution at one variable; only the states it reaches are refined.
+
+    The same tree as ``solve(system)[variable]``: bisimilarity on the states
+    the variable reaches is the whole system's restricted to them, and
+    ``RationalTree`` numbers the states of either in breadth-first order.
+    """
+    var_state = {x: i for i, x in enumerate(system.variables)}
+    if variable not in var_state:
+        raise UndeclaredName(f"no equation for variable {variable!r}")
+    steps = tuple(_rhs_steps(system, var_state, 0))
+    return minimize(RationalTree(system.signature, steps, var_state[variable]))
 
 
 def is_tree_solution(

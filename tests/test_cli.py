@@ -250,6 +250,31 @@ class TestMain:
         )
         assert main(["equal", left, different]) == 1
 
+    def test_equal_and_witness_solve_only_the_root(self, tmp_path, capsys, monkeypatch):
+        import corec.checker
+        import corec.cli
+
+        def whole_system(system):
+            raise AssertionError("solved the whole system")
+
+        monkeypatch.setattr(corec.cli, "solve", whole_system)
+        monkeypatch.setattr(corec.checker, "solve", whole_system)
+        left = self._write(tmp_path, "l.ceq", "signature a:1\nparams p\neq x = a(x)\neq y = p\n")
+        right = self._write(tmp_path, "r.ceq", "signature a:1\neq z = a(x)\neq x = a(z)\nroot x\n")
+        assert main(["equal", left, right]) == 0
+        assert main(["-k", "10", "witness", "sigma:2"]) == 0
+        assert capsys.readouterr().out.startswith("equal\n")
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import corec.cli
+
+        def build():
+            raise AssertionError("built the parser again")
+
+        monkeypatch.setattr(corec.cli, "_build_parser", build)
+        assert main(["-k", "10", "witness", "sigma:2"]) == 0
+        assert main(["-k", "0", "witness", "sigma:2"]) == 2
+
     def test_equal_modulo_unknown_exit_code(self, tmp_path, capsys):
         # an undecided verdict must not read as "equal" (0) or "distinct" (1)
         pres = self._write(tmp_path, "sl.pres", SEMILATTICE_PRES)

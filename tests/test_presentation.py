@@ -3,14 +3,18 @@ import itertools
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from corec.core import BOTTOM, ParamLeaf, Signature, flat, op, tree_params
+from corec.core import BOTTOM, ParamLeaf, Signature, flat, op
 from corec.errors import SignatureMismatch, SizeLimitExceeded
 from corec.presentation import (
     Presentation,
     Verdict3,
+    _KernelPartition,
     _UnionFind,
     _axiom_variables,
+    _essential_coordinates,
     _fold_tree,
+    _identity,
+    _rename,
     is_reduced,
     kernel_equal,
     make_constants_explicit,
@@ -239,6 +243,96 @@ class TestReduce:
             assert len(quotient_classes(p, atoms)) == len(
                 quotient_classes(reduced, atoms)
             )
+
+
+# --- the round loop that one pass of drops and merges replaced ---------------
+
+
+def _find_merge_oracle(presentation, budget):
+    sig = presentation.signature
+    part = _KernelPartition(presentation, range(max(2 * sig.max_arity, 1)), budget)
+    by_arity = {}
+    for name, arity in sig.symbols:
+        by_arity.setdefault(arity, []).append(name)
+    for arity, names in sorted(by_arity.items()):
+        for keep_name, drop_name in itertools.combinations(sorted(names), 2):
+            for perm in itertools.permutations(range(arity)):
+                if part.same(flat(drop_name, *range(arity)), flat(keep_name, *perm)):
+                    return drop_name, keep_name, perm
+    return None
+
+
+def _reduce_oracle(presentation, budget):
+    """Drop inessential coordinates, then merge one pair at a time, round after round."""
+    presentation = make_constants_explicit(presentation, budget)
+    translation = _identity(presentation.signature)
+    current = presentation
+    for _ in range(len(presentation.signature.symbols) + 1):
+        moves = _essential_coordinates(current, budget)
+        if moves != _identity(current.signature):
+            current, translation = _rename(current, translation, moves)
+        merged = False
+        while True:
+            found = _find_merge_oracle(current, budget)
+            if found is None:
+                break
+            drop_name, keep_name, perm = found
+            moves = _identity(current.signature)
+            moves[drop_name] = (keep_name, perm)
+            current, translation = _rename(current, translation, moves)
+            merged = True
+        if not merged:
+            break
+    return current, translation
+
+
+@st.composite
+def small_presentations(draw):
+    """1-4 symbols of arity 0-3, declared in any order, and up to 4 axioms over p, q, r."""
+    names = draw(st.permutations("abcd"))[: draw(st.integers(1, 4))]
+    symbols = tuple((n, draw(st.integers(0, 3))) for n in names)
+
+    def side():
+        name, arity = draw(st.sampled_from(symbols))
+        return flat(name, *(draw(st.sampled_from("pqr")) for _ in range(arity)))
+
+    axioms = tuple((side(), side()) for _ in range(draw(st.integers(0, 4))))
+    return Presentation(Signature(symbols), axioms)
+
+
+def _outcome(reduce, presentation, budget):
+    try:
+        return reduce(presentation, budget)
+    except SizeLimitExceeded as exc:
+        return str(exc)
+
+
+class TestReduceOnePass:
+    @settings(max_examples=400, deadline=None)
+    @given(small_presentations(), st.sampled_from((None, 10**6, 400, 120, 60, 30)))
+    def test_matches_round_loop(self, presentation, budget):
+        new = _outcome(reduce_presentation, presentation, budget)
+        old = _outcome(_reduce_oracle, presentation, budget)
+        if isinstance(old, str):
+            event("budget exceeded")
+        else:
+            event("merged" if any(t != n for n, (t, _) in old[1].items()) else "nothing merged")
+        assert new == old
+
+    def test_one_kernel_for_all_merges(self, monkeypatch):
+        import corec.presentation
+
+        built = []
+
+        class CountedKernel(corec.presentation._KernelPartition):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(corec.presentation, "_KernelPartition", CountedKernel)
+        reduce_presentation(PADDED)
+        # three in make_constants_explicit, one per arity for the drops, one for the merges
+        assert len(built) == 6
 
 
 class TestMakeConstantsExplicit:
@@ -471,8 +565,13 @@ class _RescanDag(_UnionFind):
                 return
 
 
+def _tree_params(tree):
+    """Parameter names at the leaves of a finite tree."""
+    return _fold_tree(tree, lambda name: {name}, lambda symbol, kids: set().union(*kids))
+
+
 def _model_refutation_oracle(models, left, right, budget):
-    labels = sorted(tree_params(left) | tree_params(right))
+    labels = sorted(_tree_params(left) | _tree_params(right))
     checked = 0
     for index, model in enumerate(models):
         for combo in itertools.product(list(model.carrier), repeat=len(labels)):

@@ -10,6 +10,7 @@ from corec.errors import (
     NonUnarySignature,
     ParameterMismatch,
     SignatureMismatch,
+    UndeclaredName,
     UnsupportedSystem,
 )
 from corec.rtree import (
@@ -36,6 +37,7 @@ from corec.solver import (
     is_tree_solution,
     solve,
     solve_anchored,
+    solve_at,
     solve_decomposed,
     tree_to_system,
     _unary_view,
@@ -615,6 +617,16 @@ class TestSolveOracle:
             else:
                 assignment[x] = data.draw(small_trees())
         assert is_tree_solution(e, assignment) == _is_tree_solution_rebuild(e, assignment)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kary_systems())
+    def test_solve_at_matches_solve(self, e):
+        sol = solve(e)
+        assert all(solve_at(e, x) == sol[x] for x in e.variables)
+
+    def test_solve_at_unknown_variable(self):
+        with pytest.raises(UndeclaredName):
+            solve_at(spine_system(), "nope")
 
     def test_missing_variable_and_foreign_signature(self):
         e = spine_system()
